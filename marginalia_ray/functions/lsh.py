@@ -3,7 +3,8 @@
 Port of /root/reference/code/libraries/easy-lsh/src/main/java/nu/marginalia/lsh/EasyLSH.java:12-87
 plus Java String.hashCode (the s[0]*31^(n-1)+... polynomial over UTF-16 code
 units) which addUnordered(Object) relies on.  Used for within-domain
-near-duplicate detection (LshDocumentDeduplicator, Hamming distance <= 2).
+near-duplicate detection (LshDocumentDeduplicator, Hamming distance <= 2)
+and for the search results' ``dataHash`` dedup (query/url_dedup.py).
 
 Python's bitwise ops on negative ints follow two's-complement semantics, so
 Java's signed >> / >>> mix is reproduced by keeping hashes as signed ints and
@@ -16,20 +17,32 @@ from functools import lru_cache
 INT_MASK = 0xFFFF_FFFF
 
 
+def _i32(x: int) -> int:
+    """Wrap to Java signed int32."""
+    x &= INT_MASK
+    return x - (1 << 32) if x >= (1 << 31) else x
+
+
 @lru_cache(maxsize=1 << 17)
 def java_string_hash(s: str) -> int:
-    """Java String.hashCode as a signed 32-bit int (UTF-16 code units).
+    """Java String.hashCode as a signed 32-bit int (UTF-16 code units, so a
+    character outside the BMP counts as its surrogate pair).
     Cached: inputs are tokens, which repeat Zipfian across documents."""
     h = 0
-    b = s.encode("utf-16-be")
+    b = s.encode("utf-16-be", "surrogatepass")
     for i in range(0, len(b), 2):
         cu = (b[i] << 8) | b[i + 1]
         h = (h * 31 + cu) & INT_MASK
-    return h - (1 << 32) if h >= (1 << 31) else h
+    return _i32(h)
+
+
+def hamming(a: int, b: int) -> int:
+    return bin((a ^ b) & 0xFFFF_FFFF_FFFF_FFFF).count("1")
 
 
 class EasyLSH:
     SHINGLING = 2
+    hamming_distance = staticmethod(hamming)
 
     def __init__(self):
         self.fields = [0] * 64
@@ -101,6 +114,3 @@ def lsh_of_words(words) -> int:
         val = ((val << 1) | ((f & INT_MASK) >> 31)) & 0xFFFF_FFFF_FFFF_FFFF
     return val
 
-
-def hamming(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")

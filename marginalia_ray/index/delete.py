@@ -13,8 +13,9 @@ rewrite instead:
 
 Scale shape: ONE Ray task per (kind, shard) — no shuffle, no
 re-tokenization, no journal read.  Each task decodes its buckets flat
-(the merge machinery), drops postings whose low-32 url bits hit the
-broadcast tombstone set (sorted array + searchsorted, vectorized), and
+(SegmentShardReader.iter_buckets, as merge does), drops postings whose
+low-32 url bits hit the broadcast tombstone set (sorted array +
+searchsorted, vectorized), and
 rewrites the surviving runs UNDER THE SAME bucket numbers (deletion
 only shrinks buckets, so the build's quantile boundaries stay valid and
 no re-salt pass is needed).  The forward index filters per part file,
@@ -49,10 +50,12 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from marginalia_ray.index.merge import _write_json_atomic, decode_bucket_flat
 from marginalia_ray.index.segment import (
     SegmentShardReader,
+    done_marker,
+    mark_done,
     read_manifest,
+    start_job,
     write_manifest,
     write_run,
 )
@@ -94,54 +97,30 @@ def _delete_shard(
     job_key: str, resume: bool,
 ) -> list[dict]:
     shard_dir = Path(out_dir) / kind / f"shard={shard:05d}"
-    marker = shard_dir / "_DONE.json"
-    if resume and marker.exists():
-        with open(marker) as f:
-            done = json.load(f)
-        if done.get("job_key") == job_key:
-            return done["runs"]
-    shutil.rmtree(shard_dir, ignore_errors=True)
+    done = done_marker(shard_dir, job_key, resume)
+    if done is not None:
+        return done["runs"]
 
     # `tombs` arrives via a shared ray.put ref (auto-dereferenced): one
     # object-store copy serves every shard task
-    has_meta = kind == "full"
-    rd = SegmentShardReader(src, kind, shard)
-    # bucket numbers parallel to rd._buckets: same sorted-glob order
-    src_shard_dir = Path(src) / kind / f"shard={shard:05d}"
-    bucket_ids = [
-        int(p.name.split("=")[1].split(".")[0])
-        for p in sorted(src_shard_dir.glob("bucket=*.terms.parquet"))
-    ]
     rows: list[dict] = []
-    for bucket, (directory, sections) in zip(bucket_ids, rd._buckets):
-        terms, ids = decode_bucket_flat(directory, sections)
+    for bucket, terms, ids, metas in SegmentShardReader(src, kind, shard).iter_buckets():
         if len(ids) == 0:
             continue
         url_part = ids & URL_MASK
         pos = np.searchsorted(tombs, url_part)
         pos = np.minimum(pos, max(0, len(tombs) - 1))
         hit = (tombs[pos] == url_part) if len(tombs) else np.zeros(len(ids), bool)
-        if not hit.any():
-            keep = slice(None)
-            kept_terms, kept_ids = terms, ids
-        else:
+        if hit.any():
             keep = ~hit
-            kept_terms, kept_ids = terms[keep], ids[keep]
-        if len(kept_ids) == 0:
+            terms, ids = terms[keep], ids[keep]
+            metas = metas[keep] if metas is not None else None
+        if len(ids) == 0:
             continue
-        metas = None
-        if has_meta:
-            m = sections["metas"]
-            m = m if m is not None else np.zeros(0, dtype=U64)
-            metas = m if isinstance(keep, slice) else m[keep]
         # the flat stream is (term, id)-lexsorted per bucket and a boolean
         # mask preserves that, so write_run's precondition holds
-        rows.append(
-            write_run(out_dir, kind, shard, bucket, kept_terms, kept_ids, metas)
-        )
-    shard_dir.mkdir(parents=True, exist_ok=True)
-    _write_json_atomic(marker, {"job_key": job_key, "runs": rows,
-                                "deleted_at": time.time()})
+        rows.append(write_run(out_dir, kind, shard, bucket, terms, ids, metas))
+    mark_done(shard_dir, job_key, runs=rows, deleted_at=time.time())
     return rows
 
 
@@ -183,16 +162,7 @@ def delete_docs(
         {"source": m["build_id"], "tombstones": digest, "n": len(tombs)},
         sort_keys=True,
     )
-    Path(out).mkdir(parents=True, exist_ok=True)
-    job_file = Path(out) / "_DELETE_JOB.json"
-    prior = None
-    if job_file.exists():
-        with open(job_file) as f:
-            prior = json.load(f).get("job_key")
-    if not (resume and prior == job_key):
-        for sub in ("forward", "full", "prio"):
-            shutil.rmtree(Path(out) / sub, ignore_errors=True)
-        _write_json_atomic(job_file, {"job_key": job_key, "started_at": time.time()})
+    start_job(out, "_DELETE_JOB.json", job_key, resume)
     t0 = time.time()
     tomb_ref = ray.put(tombs)
 
@@ -204,23 +174,17 @@ def delete_docs(
     ]
 
     fwd_out = Path(out) / "forward"
-    fwd_marker = fwd_out / "_DONE.json"
-    fwd_done = False
-    if resume and fwd_marker.exists():
-        with open(fwd_marker) as f:
-            j = json.load(f)
-        if j.get("job_key") == job_key:
-            fwd_done = True
-            doc_count = int(j["doc_count"])
-    if not fwd_done:
-        shutil.rmtree(fwd_out, ignore_errors=True)
+    fwd_done = done_marker(fwd_out, job_key, resume)
+    if fwd_done is not None:
+        doc_count = int(fwd_done["doc_count"])
+    else:
         fwd_out.mkdir(parents=True, exist_ok=True)
         fwd_tasks = [
             _filter_forward_part.remote(str(f), str(fwd_out / f.name), tomb_ref)
             for f in sorted((Path(src) / "forward").glob("*.parquet"))
         ]
         doc_count = int(sum(ray.get(fwd_tasks))) if fwd_tasks else 0
-        _write_json_atomic(fwd_marker, {"job_key": job_key, "doc_count": doc_count})
+        mark_done(fwd_out, job_key, doc_count=doc_count)
 
     lineage = [r for rows in ray.get(shard_tasks) for r in rows]
     manifest = {

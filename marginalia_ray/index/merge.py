@@ -38,7 +38,9 @@ unfinished ones — the same per-partition checkpoint contract as the
 converter's `_LINEAGE.json`.  A half-written shard (no marker) is wiped
 and rebuilt, so stale buckets from a crashed attempt can never be read.
 Changing sources or parameters invalidates the whole output (the job key
-in `_MERGE_JOB.json` no longer matches) and restarts cleanly.
+in `_MERGE_JOB.json` no longer matches) and restarts cleanly.  The
+scaffold (segment.start_job / done_marker / mark_done) is shared with
+delete_docs.
 
 Equivalence: merging builds of journal slices yields per-term posting
 lists (ids and metas) identical to a fresh `build_index` over the
@@ -49,8 +51,6 @@ tests/test_merge.py, including the engine-level query-parity check.
 from __future__ import annotations
 
 import json
-import os
-import shutil
 import time
 import uuid
 from pathlib import Path
@@ -60,10 +60,12 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from marginalia_ray.index.postings import BLOCK_SIZE, varbyte_decode
 from marginalia_ray.index.segment import (
     SegmentShardReader,
+    done_marker,
+    mark_done,
     read_manifest,
+    start_job,
     write_manifest,
     write_run,
 )
@@ -71,36 +73,6 @@ from marginalia_ray.index.segment import (
 U64 = np.uint64
 
 _LINEAGE_COLS = ("kind", "shard", "bucket", "n_terms", "n_postings", "bytes")
-
-
-def decode_bucket_flat(directory: dict, sections: dict):
-    """Decode ONE bucket's whole posting stream to flat (terms, ids) —
-    vectorized (no per-term Python): varbyte-decode the entire delta
-    stream, then rebuild absolutes with a cumsum whose carry resets at
-    block starts (values at block starts are absolute doc ids, the rest
-    in-block deltas; see encode_run).  uint64 wraparound in the running
-    cumsum cancels exactly in the subtraction."""
-    df = directory["doc_freq"].astype(np.int64)
-    total = int(df.sum())
-    if total == 0:
-        return np.zeros(0, dtype=U64), np.zeros(0, dtype=U64)
-    vals = varbyte_decode(sections["deltas"], total)
-    term_start = np.cumsum(df) - df
-    pos_in_term = np.arange(total, dtype=np.int64) - np.repeat(term_start, df)
-    is_bs = (pos_in_term % BLOCK_SIZE) == 0
-    c = np.cumsum(vals, dtype=U64)
-    carry = (c - vals)[is_bs]
-    block_idx = np.cumsum(is_bs) - 1
-    ids = c - carry[block_idx]
-    terms = np.repeat(directory["hash"].astype(U64), df)
-    return terms, ids
-
-
-def _write_json_atomic(path: Path, payload: dict) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(payload, f, indent=1, default=int)
-    os.replace(tmp, path)
 
 
 def _merge_shard(sources: list[str], out_dir: str, kind: str, shard: int,
@@ -111,27 +83,17 @@ def _merge_shard(sources: list[str], out_dir: str, kind: str, shard: int,
     ids so buckets balance), write one run per bucket, then the _DONE
     lineage marker (the resume checkpoint)."""
     shard_dir = Path(out_dir) / kind / f"shard={shard:05d}"
-    marker = shard_dir / "_DONE.json"
-    if resume and marker.exists():
-        with open(marker) as f:
-            done = json.load(f)
-        if done.get("job_key") == job_key:
-            return done["runs"]
-    # no valid marker: wipe any half-written attempt so stale bucket
-    # files can never survive into the finished shard
-    shutil.rmtree(shard_dir, ignore_errors=True)
+    done = done_marker(shard_dir, job_key, resume)
+    if done is not None:
+        return done["runs"]
 
     t_parts, i_parts, m_parts = [], [], []
     has_meta = kind == "full"
     for src in sources:
-        rd = SegmentShardReader(src, kind, shard)
-        for directory, sections in rd._buckets:
-            t, i = decode_bucket_flat(directory, sections)
+        for _, t, i, m in SegmentShardReader(src, kind, shard).iter_buckets():
             t_parts.append(t)
             i_parts.append(i)
-            if has_meta:
-                m_parts.append(sections["metas"] if sections["metas"] is not None
-                               else np.zeros(0, dtype=U64))
+            m_parts.append(m)
     rows: list[dict] = []
     if t_parts:
         terms = np.concatenate(t_parts)
@@ -171,9 +133,7 @@ def _merge_shard(sources: list[str], out_dir: str, kind: str, shard: int,
                     metas[sel] if metas is not None else None,
                 )
             )
-    shard_dir.mkdir(parents=True, exist_ok=True)
-    _write_json_atomic(marker, {"job_key": job_key, "runs": rows,
-                                "merged_at": time.time()})
+    mark_done(shard_dir, job_key, runs=rows, merged_at=time.time())
     return rows
 
 
@@ -209,33 +169,17 @@ def merge_builds(
         n_buckets_out = max(int(m.get("n_buckets", 1)) for m in manifests)
 
     out_dir = str(out_dir)
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
     job_key = json.dumps(
         {"sources": [m["build_id"] for m in manifests],
          "n_buckets_out": int(n_buckets_out)},
         sort_keys=True,
     )
-    job_file = Path(out_dir) / "_MERGE_JOB.json"
-    prior = None
-    if job_file.exists():
-        with open(job_file) as f:
-            prior = json.load(f).get("job_key")
-    if not (resume and prior == job_key):
-        # different (or no) prior job: every output subtree is invalid
-        for sub in ("forward", "full", "prio"):
-            shutil.rmtree(Path(out_dir) / sub, ignore_errors=True)
-        _write_json_atomic(job_file, {"job_key": job_key, "started_at": time.time()})
+    start_job(out_dir, "_MERGE_JOB.json", job_key, resume)
     t0 = time.time()
 
     fwd_files = [f for s in sources for f in sorted((Path(s) / "forward").glob("*.parquet"))]
     fwd_out = Path(out_dir) / "forward"
-    fwd_marker = fwd_out / "_DONE.json"
-    fwd_done = False
-    if fwd_marker.exists():
-        with open(fwd_marker) as f:
-            fwd_done = json.load(f).get("job_key") == job_key
-    if not fwd_done:
-        shutil.rmtree(fwd_out, ignore_errors=True)
+    if done_marker(fwd_out, job_key, resume) is None:
         if check_disjoint:
             # a url may legitimately appear several times WITHIN one build
             # (re-crawls; ForwardIndex keep-first resolves those at read) —
@@ -288,7 +232,7 @@ def merge_builds(
                 )
         fwd_out.mkdir(parents=True, exist_ok=True)
         ray.data.read_parquet([str(f) for f in fwd_files]).write_parquet(str(fwd_out))
-        _write_json_atomic(fwd_marker, {"job_key": job_key, "n_files": len(fwd_files)})
+        mark_done(fwd_out, job_key, n_files=len(fwd_files))
 
     work = [{"kind": k, "shard": s} for k in ("full", "prio") for s in range(n_shards)]
 

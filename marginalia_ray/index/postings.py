@@ -1,26 +1,41 @@
-"""Posting-list codec: docID-sorted deltas, varbyte, fixed blocks + block-max.
+"""Posting runs: the reverse index's one on-disk format, its encoder, its
+file layout and its block decoder.  Nothing outside this module knows how a
+run is laid out.
 
 Replaces the reference's per-term static B-tree over (rankEncodedDocId, meta)
-pairs (/root/reference/code/features-index/index-reverse/.../ReverseIndexFullReader.java:20-118,
+pairs (code/features-index/index-reverse/.../ReverseIndexFullReader.java:20-118,
 .../btree/BTreeReader.java:52-91).  The reference semantics we preserve:
   * postings are sorted ascending by rank-encoded doc id (best rank first);
   * `retain` (semi-join) and `reject` (anti-join) against a candidate buffer;
   * per-term doc_freq ("numHits") read off the term directory;
   * a per-(term,doc) metadata gather for scoring.
 
-Encoding per term:
-    u32 n_docs
-    u32 n_blocks
-    u64[n_blocks]  block_max_docid    (skip/block-max metadata)
-    u32[n_blocks]  block_byte_offset  (into the delta stream, for skipping)
-    bytes          varbyte(delta(doc_ids))
-    u64[n_docs]    metas              (full index only; priority index omits)
+A run holds every posting of one (shard, bucket), lexsorted by (term hash,
+doc id).  `encode_run` cuts each term's list into blocks of BLOCK_SIZE
+postings.  The value at a block start is the absolute doc id and the others
+are deltas from the previous id, all varbyte-coded into one byte stream, so a
+block decodes from its own bytes alone.  Per term, the terms directory
+(`term_hash`, `doc_freq`, and the `offset` and `nbytes` of the term's slice
+of the stream) is written by `segment.write_run` as terms.parquet.  A term's
+blocks and metas follow the terms in order, so its first block and first
+meta sit at the running sums of block counts and of doc_freq.
 
-All encode/decode paths are vectorized numpy (no per-value Python loops over
-the hot path beyond a bounded <=10-iteration byte-position loop).
+postings.bin (`write_postings`, `read_postings`):
+    u64 len_deltas, u64 n_blocks, u64 n_metas   24-byte header
+    u8[len_deltas]   the varbyte stream
+    u64[n_blocks]    block_max: each block's last doc id (block-max skipping)
+    u32[n_blocks]    block_off: each block's byte offset from its term's start
+    u64[n_metas]     metas in posting order (full index; priority stores none)
+
+`decode_blocks` is the one decoder from varbyte values to doc ids.  It takes
+whole blocks and serves a term's whole list, a block-max subset of it, and a
+whole bucket alike.  All paths are vectorized numpy, with no per-term or
+per-block Python.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -67,71 +82,17 @@ def varbyte_decode(buf: np.ndarray, n_values: int) -> np.ndarray:
     b = np.asarray(buf, dtype=np.uint8)
     if n_values == 0:
         return np.zeros(0, dtype=U64)
-    cont = (b & 0x80) != 0
-    # value id per byte: 0-based index of the value this byte belongs to
+    # a value starts after every byte without the continuation bit
     is_start = np.empty(len(b), dtype=bool)
     is_start[0] = True
-    is_start[1:] = ~cont[:-1]
+    np.less(b[:-1], 0x80, out=is_start[1:])
+    # value id per byte, and 7 x the byte's position within its value
     value_id = np.cumsum(is_start) - 1
-    # byte position within its value
-    starts = np.flatnonzero(is_start)
-    pos_in_value = np.arange(len(b)) - starts[value_id]
-    contrib = (b.astype(U64) & U64(0x7F)) << (U64(7) * pos_in_value.astype(U64))
+    shift = (np.arange(len(b)) - np.flatnonzero(is_start)[value_id]) * 7
+    contrib = (b & 0x7F).astype(U64) << shift.astype(U64)
     out = np.zeros(n_values, dtype=U64)
-    np.add.at(out, value_id[: len(contrib)], contrib)
+    np.add.at(out, value_id, contrib)
     return out
-
-
-def delta_encode(sorted_ids: np.ndarray) -> np.ndarray:
-    v = np.asarray(sorted_ids, dtype=U64)
-    d = np.empty_like(v)
-    if len(v):
-        d[0] = v[0]
-        np.subtract(v[1:], v[:-1], out=d[1:])
-    return d
-
-
-def delta_decode(deltas: np.ndarray) -> np.ndarray:
-    return np.cumsum(np.asarray(deltas, dtype=U64), dtype=U64)
-
-
-def encode_posting_list(doc_ids: np.ndarray, metas: np.ndarray | None) -> bytes:
-    """doc_ids must be sorted ascending and unique; metas aligned or None."""
-    ids = np.asarray(doc_ids, dtype=U64)
-    n = len(ids)
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    block_max = ids[np.minimum(np.arange(1, n_blocks + 1) * BLOCK_SIZE, n) - 1]
-
-    deltas = delta_encode(ids)
-    # per-block byte offsets: encode each block's deltas independently so a
-    # reader can skip straight to a block (first delta of a block is absolute
-    # relative to previous block's max, i.e. plain delta stream is fine since
-    # cumsum restart requires the previous absolute value — we store absolute
-    # first-value per block instead by re-basing on block boundaries).
-    parts = []
-    offsets = np.zeros(n_blocks, dtype=np.uint32)
-    pos = 0
-    for bi in range(n_blocks):
-        lo = bi * BLOCK_SIZE
-        hi = min(lo + BLOCK_SIZE, n)
-        block = deltas[lo:hi].copy()
-        block[0] = ids[lo]  # absolute first value per block -> skippable
-        enc = varbyte_encode(block)
-        offsets[bi] = pos
-        pos += len(enc)
-        parts.append(enc)
-
-    header = np.array([n, n_blocks], dtype=np.uint32).tobytes()
-    body = b"".join(
-        [
-            block_max.tobytes(),
-            offsets.tobytes(),
-            b"".join(p.tobytes() for p in parts),
-        ]
-    )
-    if metas is not None:
-        body += np.asarray(metas, dtype=U64).tobytes()
-    return header + body
 
 
 def encode_run(
@@ -141,10 +102,9 @@ def encode_run(
     (term, doc) pairs unique.  Zero per-term Python — every quantity is a
     reduceat/cumsum over the flat posting stream.
 
-    Per-term streams use the same convention as encode_posting_list: values
-    at block starts (every BLOCK_SIZE postings within a term) are absolute
-    doc ids, others are deltas — so a term's list is decodable from its byte
-    slice alone and runs concatenate deterministically.
+    Values at block starts (every BLOCK_SIZE postings within a term) are
+    absolute doc ids, the others deltas, so each block decodes from its own
+    bytes and runs concatenate deterministically.
 
     Returns dict with:
       term_hash  (n_terms,) u64     doc_freq (n_terms,) i64
@@ -204,70 +164,65 @@ def encode_run(
     )
 
 
-def decode_term_slice(delta_slice: np.ndarray, n_docs: int) -> np.ndarray:
-    """Decode one term's doc ids from its delta-stream byte slice."""
-    vals = varbyte_decode(delta_slice, n_docs)
-    if n_docs == 0:
-        return vals
-    return PostingList._cumsum_with_block_bases(vals)
+HEADER_BYTES = 24
 
 
-class PostingList:
-    """Decoded-on-demand view over one term's encoded posting list."""
+def write_postings(path, run: dict) -> None:
+    """Write an encode_run result as one postings.bin, atomically (tmp +
+    rename), in the layout of the module docstring."""
+    m = run["metas"]
+    header = np.array(
+        [len(run["deltas"]), len(run["block_max"]), 0 if m is None else len(m)],
+        dtype=U64,
+    )
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:
+        for part in (header, run["deltas"], run["block_max"], run["block_off"], m):
+            if part is not None:
+                f.write(part.tobytes())
+    os.replace(tmp, path)
 
-    __slots__ = ("n", "n_blocks", "block_max", "_block_offsets", "_delta_buf", "_meta_buf")
 
-    def __init__(self, buf: memoryview | bytes, has_meta: bool):
-        head = np.frombuffer(buf[:8], dtype=np.uint32)
-        self.n = int(head[0])
-        self.n_blocks = int(head[1])
-        o = 8
-        self.block_max = np.frombuffer(buf[o : o + 8 * self.n_blocks], dtype=U64)
-        o += 8 * self.n_blocks
-        self._block_offsets = np.frombuffer(buf[o : o + 4 * self.n_blocks], dtype=np.uint32)
-        o += 4 * self.n_blocks
-        meta_bytes = 8 * self.n if has_meta else 0
-        delta_end = len(buf) - meta_bytes
-        self._delta_buf = np.frombuffer(buf[o:delta_end], dtype=np.uint8)
-        self._meta_buf = (
-            np.frombuffer(buf[delta_end:], dtype=U64) if has_meta else None
-        )
+def read_postings(path) -> dict:
+    """Memory-map one postings.bin into its sections: `deltas` (uint8),
+    `block_max` (u64), `block_off` (u32) and `metas` (u64, empty when the
+    run stores none)."""
+    mm = np.memmap(path, dtype=np.uint8, mode="r")
+    ld, nb, nm = (int(x) for x in np.frombuffer(mm[:HEADER_BYTES], dtype=U64))
+    o = HEADER_BYTES
+    return {
+        "deltas": mm[o : o + ld],
+        "block_max": np.frombuffer(mm[o + ld : o + ld + 8 * nb], dtype=U64),
+        "block_off": np.frombuffer(mm[o + ld + 8 * nb : o + ld + 12 * nb], dtype=np.uint32),
+        "metas": np.frombuffer(mm[o + ld + 12 * nb : o + ld + 12 * nb + 8 * nm], dtype=U64),
+    }
 
-    @staticmethod
-    def _cumsum_with_block_bases(vals: np.ndarray) -> np.ndarray:
-        """cumsum restarted at every BLOCK_SIZE boundary (block-start values
-        in the stream are absolute, not deltas):
-        out[i] = sum(vals[block_start(i) .. i])."""
-        n = len(vals)
-        c = np.cumsum(vals, dtype=U64)
-        n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-        if n_blocks <= 1:
-            return c
-        starts = np.arange(1, n_blocks) * BLOCK_SIZE
-        carry = c[starts - 1]  # cumsum accumulated before each block
-        sizes = np.diff(np.concatenate((starts, [n])))
-        sub = np.concatenate(
-            (np.zeros(BLOCK_SIZE, dtype=U64), np.repeat(carry, sizes))
-        )
-        return c - sub
 
-    def doc_ids(self) -> np.ndarray:
-        vals = varbyte_decode(self._delta_buf, self.n)
-        if self.n == 0:
-            return vals
-        return self._cumsum_with_block_bases(vals)
+def block_counts(doc_freq, blocks) -> np.ndarray:
+    """Postings in block number(s) `blocks` of term lists with `doc_freq`
+    postings, elementwise: BLOCK_SIZE in every block but a list's last."""
+    return np.minimum(BLOCK_SIZE, doc_freq - BLOCK_SIZE * np.asarray(blocks, dtype=np.int64))
 
-    def metas(self) -> np.ndarray | None:
-        return self._meta_buf
 
-    def doc_ids_from_block(self, first_block: int) -> tuple[np.ndarray, int]:
-        """Decode doc ids starting at `first_block` (block-max skipping).
-        Returns (ids, start_index_in_list)."""
-        if first_block <= 0:
-            return self.doc_ids(), 0
-        if first_block >= self.n_blocks:
-            return np.zeros(0, dtype=U64), self.n
-        lo = first_block * BLOCK_SIZE
-        byte_lo = int(self._block_offsets[first_block])
-        vals = varbyte_decode(self._delta_buf[byte_lo:], self.n - lo)
-        return self._cumsum_with_block_bases(vals), lo
+def gather_ranges(arr: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of arr[starts[k] : starts[k] + lengths[k]] over k, in
+    one fancy-index (lengths >= 1; one range is a plain slice)."""
+    if len(starts) == 1:
+        return arr[int(starts[0]) : int(starts[0] + lengths[0])]
+    ends = np.cumsum(lengths)
+    idx = np.arange(int(ends[-1])) + np.repeat(starts - (ends - lengths), lengths)
+    return arr[idx]
+
+
+def decode_blocks(stream: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The one decoder: `stream` holds whole blocks back to back, block k
+    with counts[k] values; returns their absolute doc ids.  Each block's
+    first value is absolute and the rest are deltas, so the ids are one
+    running sum whose carry is dropped at every block start (uint64
+    wraparound in the running sum cancels exactly in the subtraction)."""
+    counts = np.asarray(counts, dtype=np.int64)
+    ids = np.cumsum(varbyte_decode(stream, int(counts.sum())), dtype=U64)
+    if len(counts) > 1:
+        starts = np.cumsum(counts[:-1])
+        ids[starts[0] :] -= np.repeat(ids[starts - 1], counts[1:])
+    return ids

@@ -10,8 +10,8 @@ by pointing a `CURRENT` file at it, mirroring switchFilesJob):
     build_dir/
       MANIFEST.json                 # doc_count, n_shards, n_buckets, lineage
       forward/part-*.parquet        # (url_id, doc_meta, domain_id), rank applied
-      full/shard=S/bucket=B.terms.parquet   # term_hash, doc_freq, offset, nbytes
-      full/shard=S/bucket=B.postings.bin    # concatenated encoded posting lists
+      full/shard=S/bucket=B.terms.parquet   # terms directory of one run
+      full/shard=S/bucket=B.postings.bin    # the run itself (index/postings.py)
       prio/shard=S/...                      # same, ENTRY_SIZE=1 (no metas)
 
 Scale notes (the design constraint is a 256-node cluster / 100 TB corpus):
@@ -24,31 +24,34 @@ Scale notes (the design constraint is a 256-node cluster / 100 TB corpus):
     across buckets concatenate in sorted order — salted runs merge by pure
     concatenation, no k-way merge pass (merge determinism is trivially
     byte-stable).
-  * Readers mmap postings.bin (np.memmap) and decode one term on demand.
+  * Readers mmap postings.bin (np.memmap) and decode one term, a block-max
+    subset of one term, or a whole bucket on demand, all through
+    postings.decode_blocks.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
+import time
 from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from marginalia_ray.index.postings import decode_term_slice, encode_run
+from marginalia_ray.index.postings import (
+    BLOCK_SIZE,
+    block_counts,
+    decode_blocks,
+    encode_run,
+    gather_ranges,
+    read_postings,
+    write_postings,
+)
 
 U64 = np.uint64
-
-TERMS_SCHEMA = pa.schema(
-    [
-        ("term_hash", pa.uint64()),
-        ("doc_freq", pa.int64()),
-        ("offset", pa.int64()),
-        ("nbytes", pa.int64()),
-    ]
-)
 
 
 def bucket_of(enc_doc_ids: np.ndarray, boundaries: np.ndarray | None) -> np.ndarray:
@@ -81,10 +84,9 @@ def write_run(
     lexsorted by (term_hash, doc_id).  Returns a lineage/manifest row.
     Writes are atomic (tmp + rename) so re-runs are idempotent.
 
-    Layout: terms.parquet (term_hash, doc_freq, offset, nbytes) +
-    postings.bin = 24-byte header (len_deltas, n_blocks, n_metas as u64)
-    then sections [varbyte deltas][block_max u64][block_off u32][metas u64].
-    Fully vectorized (encode_run) — no per-term Python."""
+    Layout: terms.parquet (term_hash, doc_freq, offset, nbytes) plus
+    postings.bin, whose format index/postings.py owns.  Fully vectorized
+    (encode_run) — no per-term Python."""
     d = Path(out_dir) / kind / f"shard={shard:05d}"
     d.mkdir(parents=True, exist_ok=True)
 
@@ -99,22 +101,8 @@ def write_run(
         }
     )
 
-    post_path = d / f"bucket={bucket:04d}.postings.bin"
+    write_postings(d / f"bucket={bucket:04d}.postings.bin", run)
     terms_path = d / f"bucket={bucket:04d}.terms.parquet"
-    m = run["metas"]
-    header = np.array(
-        [len(run["deltas"]), len(run["block_max"]), 0 if m is None else len(m)],
-        dtype=np.uint64,
-    )
-    tmp = str(post_path) + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(header.tobytes())
-        f.write(run["deltas"].tobytes())
-        f.write(run["block_max"].tobytes())
-        f.write(run["block_off"].tobytes())
-        if m is not None:
-            f.write(m.tobytes())
-    os.replace(tmp, post_path)
     tmp = str(terms_path) + ".tmp"
     pq.write_table(terms, tmp)
     os.replace(tmp, terms_path)
@@ -133,80 +121,61 @@ class SegmentShardReader:
     """Query-side reader for one shard of one kind (full/prio).
 
     Loads the (small) term directories of every bucket eagerly, memory-maps
-    the posting bins, decodes per-term lists on demand, and concatenates
-    across buckets in bucket order (which is doc-id order by construction)."""
+    the posting bins, decodes on demand, and concatenates across buckets in
+    bucket order (which is doc-id order by construction)."""
 
     def __init__(self, build_dir: str | Path, kind: str, shard: int):
         self.kind = kind
         self.has_meta = kind == "full"
         d = Path(build_dir) / kind / f"shard={shard:05d}"
-        self._buckets = []  # [(terms dict, sections dict)]
+        self._buckets = []  # [(bucket number, terms directory, sections)]
         if not d.exists():
             return
-        from marginalia_ray.index.postings import BLOCK_SIZE
-
         for terms_path in sorted(d.glob("bucket=*.terms.parquet")):
-            bin_path = terms_path.with_name(terms_path.name.replace(".terms.parquet", ".postings.bin"))
+            name = terms_path.name.replace(".terms.parquet", "")
             t = pq.read_table(terms_path)
             df = t["doc_freq"].to_numpy()
-            meta_off = np.cumsum(df) - df
             nblocks = -(-df // BLOCK_SIZE)
             directory = {
                 "hash": t["term_hash"].to_numpy(),
                 "doc_freq": df,
                 "offset": t["offset"].to_numpy(),
                 "nbytes": t["nbytes"].to_numpy(),
-                "meta_off": meta_off,
+                "meta_off": np.cumsum(df) - df,
                 "n_blocks": nblocks,
                 "block_base": np.cumsum(nblocks) - nblocks,
             }
-            mm = (
-                np.memmap(bin_path, dtype=np.uint8, mode="r")
-                if bin_path.stat().st_size
-                else np.zeros(24, dtype=np.uint8)
-            )
-            head = np.frombuffer(mm[:24], dtype=np.uint64)
-            ld, nb, nm = int(head[0]), int(head[1]), int(head[2])
-            o = 24
-            sections = {
-                "deltas": mm[o : o + ld],
-                "block_max": np.frombuffer(mm[o + ld : o + ld + 8 * nb], dtype=U64),
-                "block_off": np.frombuffer(
-                    mm[o + ld + 8 * nb : o + ld + 12 * nb], dtype=np.uint32
-                ),
-                "metas": (
-                    np.frombuffer(
-                        mm[o + ld + 12 * nb : o + ld + 12 * nb + 8 * nm], dtype=U64
-                    )
-                    if nm
-                    else None
-                ),
-            }
-            self._buckets.append((directory, sections))
+            sections = read_postings(terms_path.with_name(name + ".postings.bin"))
+            self._buckets.append((int(name.split("=")[1]), directory, sections))
+
+    def _find(self, term_hash: int):
+        """(directory, sections, row) of every bucket holding the term."""
+        th = U64(term_hash)
+        for _, directory, sections in self._buckets:
+            i = np.searchsorted(directory["hash"], th)
+            if i < len(directory["hash"]) and directory["hash"][i] == th:
+                yield directory, sections, int(i)
+
+    def _empty(self) -> tuple[np.ndarray, np.ndarray | None]:
+        return np.zeros(0, dtype=U64), (np.zeros(0, dtype=U64) if self.has_meta else None)
 
     def doc_freq(self, term_hash: int) -> int:
-        total = 0
-        for directory, _ in self._buckets:
-            i = np.searchsorted(directory["hash"], U64(term_hash))
-            if i < len(directory["hash"]) and directory["hash"][i] == U64(term_hash):
-                total += int(directory["doc_freq"][i])
-        return total
+        return sum(int(d["doc_freq"][i]) for d, _, i in self._find(term_hash))
 
     def postings(self, term_hash: int) -> tuple[np.ndarray, np.ndarray | None]:
         """(sorted doc_ids, metas or None) for a term, concatenated over buckets."""
         ids_parts, meta_parts = [], []
-        for directory, sections in self._buckets:
-            i = np.searchsorted(directory["hash"], U64(term_hash))
-            if i < len(directory["hash"]) and directory["hash"][i] == U64(term_hash):
-                o = int(directory["offset"][i])
-                n = int(directory["nbytes"][i])
-                df = int(directory["doc_freq"][i])
-                ids_parts.append(decode_term_slice(sections["deltas"][o : o + n], df))
-                if self.has_meta:
-                    mo = int(directory["meta_off"][i])
-                    meta_parts.append(sections["metas"][mo : mo + df])
+        for directory, sections, i in self._find(term_hash):
+            o = int(directory["offset"][i])
+            n = int(directory["nbytes"][i])
+            df = int(directory["doc_freq"][i])
+            counts = block_counts(df, np.arange(int(directory["n_blocks"][i])))
+            ids_parts.append(decode_blocks(sections["deltas"][o : o + n], counts))
+            if self.has_meta:
+                mo = int(directory["meta_off"][i])
+                meta_parts.append(sections["metas"][mo : mo + df])
         if not ids_parts:
-            return np.zeros(0, dtype=U64), (np.zeros(0, dtype=U64) if self.has_meta else None)
+            return self._empty()
         ids = np.concatenate(ids_parts)
         metas = np.concatenate(meta_parts) if self.has_meta else None
         return ids, metas
@@ -219,46 +188,48 @@ class SegmentShardReader:
         ids — a SUPERSET of the true intersection, so retain / reject /
         meta-gather via searchsorted give identical answers while decoding
         at most len(cand) blocks instead of the whole list (the block-max
-        WAND skip primitive; block starts are absolute doc ids so each
-        block decodes independently)."""
-        from marginalia_ray.index.postings import BLOCK_SIZE, varbyte_decode
-
+        WAND skip primitive).  The needed blocks' bytes and metas are
+        gathered in one pass and decoded together."""
         cand = np.asarray(cand_sorted, dtype=U64)
         ids_parts, meta_parts = [], []
-        for directory, sections in self._buckets:
-            i = np.searchsorted(directory["hash"], U64(term_hash))
-            if i >= len(directory["hash"]) or directory["hash"][i] != U64(term_hash):
-                continue
+        for directory, sections, i in self._find(term_hash):
             df = int(directory["doc_freq"][i])
             nb = int(directory["n_blocks"][i])
             base = int(directory["block_base"][i])
-            off = int(directory["offset"][i])
-            nbytes = int(directory["nbytes"][i])
-            bmax = sections["block_max"][base : base + nb]
-            # the block whose max first reaches each candidate may hold it
-            need = np.unique(np.searchsorted(bmax, cand))
-            need = need[need < nb]
+            # the block whose max first reaches each candidate may hold it;
+            # a candidate past the last block max (position nb) needs none
+            pos = np.searchsorted(sections["block_max"][base : base + nb], cand)
+            need = np.flatnonzero(np.bincount(pos)[:nb])
             if len(need) == 0:
                 continue
-            boffs = sections["block_off"][base : base + nb]
-            deltas = sections["deltas"][off : off + nbytes]
-            mo = int(directory["meta_off"][i]) if self.has_meta else 0
-            for b in need:
-                b = int(b)
-                lo = int(boffs[b])
-                hi = int(boffs[b + 1]) if b + 1 < nb else nbytes
-                count = min(BLOCK_SIZE, df - BLOCK_SIZE * b)
-                vals = varbyte_decode(deltas[lo:hi], count)
-                ids_parts.append(np.cumsum(vals, dtype=U64))  # first is absolute
-                if self.has_meta:
-                    meta_parts.append(
-                        sections["metas"][mo + BLOCK_SIZE * b : mo + BLOCK_SIZE * b + count]
-                    )
+            # byte bounds of the term's blocks, relative to its slice
+            bounds = np.append(sections["block_off"][base : base + nb], int(directory["nbytes"][i]))
+            counts = block_counts(df, need)
+            stream = gather_ranges(
+                sections["deltas"],
+                int(directory["offset"][i]) + bounds[need],
+                bounds[need + 1] - bounds[need],
+            )
+            ids_parts.append(decode_blocks(stream, counts))
+            if self.has_meta:
+                mo = int(directory["meta_off"][i])
+                meta_parts.append(gather_ranges(sections["metas"], mo + BLOCK_SIZE * need, counts))
         if not ids_parts:
-            return np.zeros(0, dtype=U64), (np.zeros(0, dtype=U64) if self.has_meta else None)
+            return self._empty()
         ids = np.concatenate(ids_parts)
         metas = np.concatenate(meta_parts) if self.has_meta else None
         return ids, metas
+
+    def iter_buckets(self):
+        """Yield (bucket number, terms, ids, metas) per bucket: its whole run
+        as a flat (term, doc id)-lexsorted stream with aligned metas (None
+        for prio) — what merge and delete rewrite."""
+        for bucket, directory, sections in self._buckets:
+            df, nb = directory["doc_freq"], directory["n_blocks"]
+            blocks = np.arange(int(nb.sum())) - np.repeat(directory["block_base"], nb)
+            ids = decode_blocks(sections["deltas"], block_counts(np.repeat(df, nb), blocks))
+            terms = np.repeat(directory["hash"].astype(U64), df)
+            yield bucket, terms, ids, (sections["metas"] if self.has_meta else None)
 
 
 class ForwardIndex:
@@ -312,12 +283,15 @@ class ForwardIndex:
         return metas, domains
 
 
-def write_manifest(build_dir: str | Path, manifest: dict) -> None:
-    p = Path(build_dir) / "MANIFEST.json"
-    tmp = str(p) + ".tmp"
+def write_json_atomic(path: str | Path, payload: dict) -> None:
+    tmp = f"{path}.tmp"
     with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1, default=int)
-    os.replace(tmp, p)
+        json.dump(payload, f, indent=1, default=int)
+    os.replace(tmp, path)
+
+
+def write_manifest(build_dir: str | Path, manifest: dict) -> None:
+    write_json_atomic(Path(build_dir) / "MANIFEST.json", manifest)
 
 
 def read_manifest(build_dir: str | Path) -> dict | None:
@@ -340,3 +314,39 @@ def set_current(root: str | Path, build_id: str) -> None:
 def get_current(root: str | Path) -> str | None:
     p = Path(root) / "CURRENT"
     return p.read_text().strip() if p.exists() else None
+
+
+# Resume scaffold of the per-shard build rewrites (merge_builds, delete_docs):
+# a job file at the output root holds the job key, and every finished unit
+# (one kind/shard directory, or forward/) holds a _DONE.json marker with it.
+
+
+def start_job(out_dir: str | Path, job_file: str, job_key: str, resume: bool) -> None:
+    """Begin or resume a rewrite into out_dir.  Unless resuming the job the
+    job file already names, every output subtree is stale: wipe them all and
+    record the new key."""
+    p = Path(out_dir) / job_file
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    prior = json.loads(p.read_text()).get("job_key") if p.exists() else None
+    if not (resume and prior == job_key):
+        for sub in ("forward", "full", "prio"):
+            shutil.rmtree(Path(out_dir) / sub, ignore_errors=True)
+        write_json_atomic(p, {"job_key": job_key, "started_at": time.time()})
+
+
+def done_marker(unit_dir: Path, job_key: str, resume: bool) -> dict | None:
+    """The _DONE.json payload if this job already finished unit_dir;
+    otherwise wipe what a crashed or different attempt left there (so stale
+    files never survive into the finished unit) and return None."""
+    marker = unit_dir / "_DONE.json"
+    if resume and marker.exists():
+        done = json.loads(marker.read_text())
+        if done.get("job_key") == job_key:
+            return done
+    shutil.rmtree(unit_dir, ignore_errors=True)
+    return None
+
+
+def mark_done(unit_dir: Path, job_key: str, **payload) -> None:
+    unit_dir.mkdir(parents=True, exist_ok=True)
+    write_json_atomic(unit_dir / "_DONE.json", {"job_key": job_key, **payload})

@@ -510,13 +510,6 @@ class IndexSearcher:
             colon_free = [i for i, w in enumerate(termlist) if ":" not in w]
             if not colon_free:
                 continue
-            if any("_" in termlist[i] for i in colon_free):
-                # hasNgram() skips the whole set — conservative: an ngram
-                # keyword makes every doc's set contain it unless its meta is
-                # synthetic; the reference skips per-doc.  Handle via patterns
-                # below by treating ngram terms like regular ones and skipping
-                # pattern groups that retain any ngram term.
-                pass
 
             synth_bits = (wm[colon_free] & U64(WordFlags.Synthetic.bit)) != 0  # (k, n)
             pattern = np.zeros(n, dtype=np.int64)

@@ -20,7 +20,7 @@ Ports (services-core/search-service/src/main/java/nu/marginalia/search/):
     isSpecialDomain), pooling e.g. all Wikipedia language subdomains
     under one cap.
   * ``Objects.hash`` / ``String.hashCode`` int32 semantics via
-    functions/easy_lsh.java_string_hash.
+    functions/lsh.java_string_hash (UTF-16 code units, as in Java).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..functions.easy_lsh import EasyLSH, _i32, java_string_hash
+from ..functions.lsh import EasyLSH, _i32, java_string_hash
 from ..functions.urls import parse_url
 
 LSH_SIMILARITY_THRESHOLD = 2

@@ -15,13 +15,25 @@ from marginalia_ray.functions.hashing import (
 from marginalia_ray.functions.stemmer import stem
 from marginalia_ray.index.postings import (
     BLOCK_SIZE,
-    PostingList,
-    delta_decode,
-    delta_encode,
-    encode_posting_list,
+    block_counts,
+    decode_blocks,
+    encode_run,
+    read_postings,
     varbyte_decode,
     varbyte_encode,
+    write_postings,
 )
+
+
+def _one_term_run(ids, metas):
+    """encode_run over a single term's sorted doc ids."""
+    return encode_run(np.full(len(ids), 5, dtype=np.uint64), ids, metas)
+
+
+def _decode_run(run):
+    """Decode a one-term run's whole list."""
+    df = int(run["doc_freq"].sum())
+    return decode_blocks(run["deltas"], block_counts(df, np.arange(-(-df // BLOCK_SIZE))))
 
 
 class TestWordMetadata:
@@ -243,7 +255,7 @@ class TestPostingsCodec:
 
     def test_delta_roundtrip(self):
         ids = np.array([3, 4, 5, 1000, 1001, 1 << 40, (1 << 40) + 7], dtype=np.uint64)
-        np.testing.assert_array_equal(delta_decode(delta_encode(ids)), ids)
+        np.testing.assert_array_equal(_decode_run(_one_term_run(ids, None)), ids)
 
     @pytest.mark.parametrize("n", [0, 1, 2, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 1000, 5000])
     def test_posting_roundtrip(self, n):
@@ -254,31 +266,39 @@ class TestPostingsCodec:
         )
         ids = np.cumsum(gaps, dtype=np.uint64)
         metas = rng.integers(0, 1 << 63, size=n, dtype=np.uint64)
-        buf = encode_posting_list(ids, metas)
-        pl = PostingList(memoryview(buf), has_meta=True)
-        assert pl.n == n
-        np.testing.assert_array_equal(pl.doc_ids(), ids)
-        np.testing.assert_array_equal(pl.metas(), metas)
+        run = _one_term_run(ids, metas)
+        assert run["doc_freq"].sum() == n
+        np.testing.assert_array_equal(_decode_run(run), ids)
+        np.testing.assert_array_equal(run["metas"], metas)
 
-    def test_posting_no_meta(self):
+    def test_posting_no_meta(self, tmp_path):
         ids = np.arange(1, 500, dtype=np.uint64) * 3
-        buf = encode_posting_list(ids, None)
-        pl = PostingList(memoryview(buf), has_meta=False)
-        np.testing.assert_array_equal(pl.doc_ids(), ids)
-        assert pl.metas() is None
+        run = _one_term_run(ids, None)
+        np.testing.assert_array_equal(_decode_run(run), ids)
+        assert run["metas"] is None
+        # the postings.bin layout round-trips the run, with no meta section
+        write_postings(tmp_path / "p.bin", run)
+        sections = read_postings(tmp_path / "p.bin")
+        np.testing.assert_array_equal(sections["deltas"], run["deltas"])
+        np.testing.assert_array_equal(sections["block_max"], run["block_max"])
+        np.testing.assert_array_equal(sections["block_off"], run["block_off"])
+        assert len(sections["metas"]) == 0
 
     def test_block_max_metadata(self):
         ids = np.arange(1, 1000, dtype=np.uint64) * 7
-        buf = encode_posting_list(ids, None)
-        pl = PostingList(memoryview(buf), has_meta=False)
-        for bi in range(pl.n_blocks):
+        run = _one_term_run(ids, None)
+        n_blocks = -(-len(ids) // BLOCK_SIZE)
+        assert len(run["block_max"]) == n_blocks
+        for bi in range(n_blocks):
             hi = min((bi + 1) * BLOCK_SIZE, len(ids))
-            assert pl.block_max[bi] == ids[hi - 1]
+            assert run["block_max"][bi] == ids[hi - 1]
 
     def test_decode_from_block(self):
         ids = np.arange(1, 1000, dtype=np.uint64) * 7
-        buf = encode_posting_list(ids, None)
-        pl = PostingList(memoryview(buf), has_meta=False)
-        for first_block in [0, 1, 3, pl.n_blocks - 1, pl.n_blocks]:
-            dec, start = pl.doc_ids_from_block(first_block)
-            np.testing.assert_array_equal(dec, ids[start:])
+        run = _one_term_run(ids, None)
+        n_blocks = len(run["block_max"])
+        for first_block in [0, 1, 3, n_blocks - 1, n_blocks]:
+            lo = int(run["block_off"][first_block]) if first_block < n_blocks else len(run["deltas"])
+            counts = block_counts(len(ids), np.arange(first_block, n_blocks))
+            dec = decode_blocks(run["deltas"][lo:], counts)
+            np.testing.assert_array_equal(dec, ids[first_block * BLOCK_SIZE :])

@@ -10,7 +10,7 @@ import ray.data
 
 from marginalia_ray.functions.hashing import term_hash
 from marginalia_ray.index.build import build_index
-from marginalia_ray.index.merge import decode_bucket_flat, merge_builds
+from marginalia_ray.index.merge import merge_builds
 from marginalia_ray.index.segment import (
     ForwardIndex,
     SegmentShardReader,
@@ -137,10 +137,10 @@ class TestMergeGuards:
             merge_builds([tmp_path_factory.mktemp("one")], tmp_path_factory.mktemp("o"))
 
 
-class TestDecodeBucketFlat:
+class TestBucketIterator:
     def test_roundtrip_multi_block_terms(self, ray_session, tmp_path_factory):
         """A term with >BLOCK_SIZE postings exercises the absolute-at-
-        block-start carry reset."""
+        block-start carry reset of the whole-bucket decode."""
         from marginalia_ray.index.segment import write_run
 
         d = tmp_path_factory.mktemp("rt")
@@ -153,13 +153,12 @@ class TestDecodeBucketFlat:
         )
         ids = np.concatenate([ids_a, ids_b])
         metas = rng.integers(0, 2**63, n_a + n_b).astype(np.uint64)
-        write_run(d, "full", 0, 0, terms, ids, metas)
-        rd = SegmentShardReader(d, "full", 0)
-        directory, sections = rd._buckets[0]
-        t_out, i_out = decode_bucket_flat(directory, sections)
+        write_run(d, "full", 0, 3, terms, ids, metas)
+        [(bucket, t_out, i_out, m_out)] = SegmentShardReader(d, "full", 0).iter_buckets()
+        assert bucket == 3
         np.testing.assert_array_equal(t_out, terms)
         np.testing.assert_array_equal(i_out, ids)
-        np.testing.assert_array_equal(sections["metas"], metas)
+        np.testing.assert_array_equal(m_out, metas)
 
 
 class TestMergeResume:

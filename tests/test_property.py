@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from marginalia_ray.index.postings import (
     BLOCK_SIZE,
-    decode_term_slice,
+    block_counts,
+    decode_blocks,
     encode_run,
     varbyte_decode,
     varbyte_encode_with_sizes,
@@ -57,7 +58,8 @@ def test_encode_run_roundtrip(pairs):
     uniq_terms = run["term_hash"]
     for i, t in enumerate(uniq_terms):
         o, nb, df = int(run["offset"][i]), int(run["nbytes"][i]), int(run["doc_freq"][i])
-        got = decode_term_slice(run["deltas"][o : o + nb], df)
+        counts = block_counts(df, np.arange(-(-df // BLOCK_SIZE)))
+        got = decode_blocks(run["deltas"][o : o + nb], counts)
         want = ids[terms == t]
         assert (got == want).all()
     # metas aligned with the posting stream

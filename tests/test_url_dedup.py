@@ -1,7 +1,7 @@
-"""EasyLSH + UrlDeduplicator (reference cites in functions/easy_lsh.py
+"""EasyLSH + UrlDeduplicator (reference cites in functions/lsh.py
 and query/url_dedup.py)."""
 
-from marginalia_ray.functions.easy_lsh import EasyLSH, java_string_hash
+from marginalia_ray.functions.lsh import EasyLSH, java_string_hash
 from marginalia_ray.query.url_dedup import (
     ResultUrl,
     UrlDeduplicator,
@@ -20,6 +20,13 @@ class TestJavaStringHash:
         assert java_string_hash("hello") == 99162322
         # int32 wrap goes negative on long strings
         assert java_string_hash("polygenelubricants") == -2147483648
+
+    def test_non_bmp_hashes_utf16_code_units(self):
+        # U+1F600 is the surrogate pair D83D DE00 in a Java String:
+        # 0xD83D * 31 + 0xDE00, not the code point 0x1F600 = 128512
+        assert java_string_hash("\U0001F600") == 1772899
+        # a lone surrogate is one code unit, as in a Java String
+        assert java_string_hash("\ud800") == 0xD800
 
 
 class TestEasyLSH:
@@ -119,3 +126,13 @@ class TestUrlDeduplicator:
 
     def test_superficial_hash_title_null(self):
         assert superficial_hash("/p", None) == 31 * (31 + java_string_hash("/p"))
+
+    def test_emoji_title_dedup_key_matches_java(self):
+        # Objects.hash("/p", "\U0001F600") in Java: 31 * (31 + 1569) + 1772899
+        assert superficial_hash("/p", "\U0001F600") == 1822499
+        # "\u1031\x11" hashes to 128512, the emoji's code point; hashing code
+        # points would make the two titles collide and drop a distinct result
+        assert java_string_hash("\u1031\x11") == 128512
+        d = UrlDeduplicator(10)
+        assert d.filter(self._r("http://a.com/p", "\U0001F600", data_hash=1))
+        assert d.filter(self._r("http://b.com/p", "\u1031\x11", data_hash=1 << 40))
