@@ -14,10 +14,10 @@ Semantics
   * Sources must be doc-disjoint (the incremental-crawl-slices case).
     `check_disjoint=True` verifies it with a column-pruned distributed
     count over the forward url_ids and fails loudly: a url indexed in two
-    source builds has no well-defined merged posting (the reference's
-    loader-overwrite semantics need a delete, which immutable segments
-    don't do — re-crawls must be deduplicated upstream, at the converter,
-    exactly as the main pipeline does).
+    source builds has no well-defined merged posting.  A re-crawl of
+    indexed urls goes through delete.overwrite_merge instead, which runs
+    this per-shard merge with the old build's versions of those urls
+    dropped.
   * Rank-encoded doc ids are merged as-is: each document keeps the domain
     rank its source build assigned.  Build slices with the same
     DomainRankings for rank-consistent merges.
@@ -40,7 +40,7 @@ and rebuilt, so stale buckets from a crashed attempt can never be read.
 Changing sources or parameters invalidates the whole output (the job key
 in `_MERGE_JOB.json` no longer matches) and restarts cleanly.  The
 scaffold (segment.start_job / done_marker / mark_done) is shared with
-delete_docs.
+delete_docs and overwrite_merge.
 
 Equivalence: merging builds of journal slices yields per-term posting
 lists (ids and metas) identical to a fresh `build_index` over the
@@ -66,6 +66,7 @@ from marginalia_ray.index.segment import (
     mark_done,
     read_manifest,
     start_job,
+    url_in,
     write_manifest,
     write_run,
 )
@@ -76,12 +77,15 @@ _LINEAGE_COLS = ("kind", "shard", "bucket", "n_terms", "n_postings", "bytes")
 
 
 def _merge_shard(sources: list[str], out_dir: str, kind: str, shard: int,
-                 n_buckets_out: int, job_key: str, resume: bool) -> list[dict]:
+                 n_buckets_out: int, job_key: str, resume: bool,
+                 tombs: np.ndarray | None = None) -> list[dict]:
     """Merge one (kind, shard) across all source builds: decode every
     source bucket flat, lexsort by (term, enc id), re-salt into
     `n_buckets_out` doc-range buckets (quantile boundaries over the merged
     ids so buckets balance), write one run per bucket, then the _DONE
-    lineage marker (the resume checkpoint)."""
+    lineage marker (the resume checkpoint).  With `tombs` (sorted url ids),
+    the first source's postings of those urls are dropped as they are
+    decoded: the re-crawl overwrite of delete.overwrite_merge."""
     shard_dir = Path(out_dir) / kind / f"shard={shard:05d}"
     done = done_marker(shard_dir, job_key, resume)
     if done is not None:
@@ -89,8 +93,12 @@ def _merge_shard(sources: list[str], out_dir: str, kind: str, shard: int,
 
     t_parts, i_parts, m_parts = [], [], []
     has_meta = kind == "full"
-    for src in sources:
+    for k, src in enumerate(sources):
         for _, t, i, m in SegmentShardReader(src, kind, shard).iter_buckets():
+            if k == 0 and tombs is not None:
+                keep = ~url_in(i, tombs)
+                t, i = t[keep], i[keep]
+                m = m[keep] if has_meta else None
             t_parts.append(t)
             i_parts.append(i)
             m_parts.append(m)

@@ -52,6 +52,18 @@ from marginalia_ray.index.postings import (
 )
 
 U64 = np.uint64
+URL_MASK = U64(0xFFFFFFFF)
+
+
+def url_in(ids: np.ndarray, urls: np.ndarray) -> np.ndarray:
+    """Mask of the doc ids (rank-encoded or plain url ids) whose low-32 url
+    bits are in `urls`, a sorted unique uint64 array (sorted array +
+    searchsorted, vectorized)."""
+    url = np.asarray(ids).astype(U64) & URL_MASK
+    if len(urls) == 0:
+        return np.zeros(len(url), dtype=bool)
+    pos = np.minimum(np.searchsorted(urls, url), len(urls) - 1)
+    return urls[pos] == url
 
 
 def bucket_of(enc_doc_ids: np.ndarray, boundaries: np.ndarray | None) -> np.ndarray:
@@ -114,6 +126,28 @@ def write_run(
         "n_terms": len(run["term_hash"]),
         "n_postings": int(len(term_hashes)),
         "bytes": int(len(run["deltas"])),
+    }
+
+
+def copy_run(src_build: str | Path, out_dir: str | Path, kind: str, shard: int, bucket: int) -> dict:
+    """Copy one (shard, bucket) run of `src_build` into `out_dir` byte for
+    byte (atomically, as write_run writes) and return its lineage row, read
+    off the terms directory."""
+    rel = Path(kind) / f"shard={shard:05d}"
+    d = Path(out_dir) / rel
+    d.mkdir(parents=True, exist_ok=True)
+    for suffix in ("postings.bin", "terms.parquet"):
+        name = f"bucket={bucket:04d}.{suffix}"
+        shutil.copyfile(Path(src_build) / rel / name, d / (name + ".tmp"))
+        os.replace(d / (name + ".tmp"), d / name)
+    t = pq.read_table(d / f"bucket={bucket:04d}.terms.parquet", columns=["doc_freq", "nbytes"])
+    return {
+        "kind": kind,
+        "shard": shard,
+        "bucket": bucket,
+        "n_terms": t.num_rows,
+        "n_postings": int(t["doc_freq"].to_numpy().sum()),
+        "bytes": int(t["nbytes"].to_numpy().sum()),
     }
 
 
@@ -316,9 +350,10 @@ def get_current(root: str | Path) -> str | None:
     return p.read_text().strip() if p.exists() else None
 
 
-# Resume scaffold of the per-shard build rewrites (merge_builds, delete_docs):
-# a job file at the output root holds the job key, and every finished unit
-# (one kind/shard directory, or forward/) holds a _DONE.json marker with it.
+# Resume scaffold of the per-shard build rewrites (merge_builds, delete_docs,
+# overwrite_merge): a job file at the output root holds the job key, and
+# every finished unit (one kind/shard directory, or forward/) holds a
+# _DONE.json marker with it.
 
 
 def start_job(out_dir: str | Path, job_file: str, job_key: str, resume: bool) -> None:

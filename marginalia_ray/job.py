@@ -38,7 +38,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--overwrite", nargs=2, metavar=("OLD_BUILD", "NEW_BUILD"),
         help="re-crawl ingestion: every url in NEW_BUILD replaces its "
-        "version in OLD_BUILD; result in --out (delete + k-way merge)",
+        "version in OLD_BUILD; result in --out (one per-shard merge that "
+        "drops OLD_BUILD's versions of NEW_BUILD's urls)",
     )
     p.add_argument("--out", required=True, help="output index root")
     p.add_argument("--build-id", default="build-0")

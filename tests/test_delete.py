@@ -15,7 +15,7 @@ import ray.data
 from marginalia_ray.functions.hashing import term_hash
 from marginalia_ray.index.build import build_index
 from marginalia_ray.index.delete import delete_docs, overwrite_merge
-from marginalia_ray.index.segment import ForwardIndex, read_manifest
+from marginalia_ray.index.segment import ForwardIndex, SegmentShardReader, read_manifest
 from marginalia_ray.query.engine import IndexSearcher, SearchSpec, Subquery
 from marginalia_ray.sources.factors import make_factors_journal
 
@@ -101,31 +101,85 @@ class TestDeleteParity:
         other = delete_docs(full_dir, del_dir, tombs[:3])
         assert other["n_deleted_docs"] == 3
 
+    def test_untouched_buckets_are_copied(self, deleted_vs_fresh, tmp_path, monkeypatch):
+        from marginalia_ray.index import delete, segment
+
+        full_dir = deleted_vs_fresh[0]
+        buckets = list(SegmentShardReader(full_dir, "full", 0).iter_buckets())
+        assert len(buckets) > 1
+        # buckets are doc ranges: one url lives in exactly one bucket
+        tomb = np.array([buckets[0][2][0] & np.uint64(0xFFFFFFFF)], dtype=np.uint64)
+        encodes = []
+        real = segment.encode_run
+        monkeypatch.setattr(segment, "encode_run", lambda *a: encodes.append(1) or real(*a))
+        rows = delete._delete_shard._function(
+            str(full_dir), str(tmp_path), "full", 0, tomb, "job", False
+        )
+        assert len(encodes) == 1
+        src, dst = Path(full_dir) / "full" / "shard=00000", tmp_path / "full" / "shard=00000"
+        built = {(r["kind"], r["shard"], r["bucket"]): r for r in read_manifest(full_dir)["runs"]}
+        for bucket, *_ in buckets[1:]:
+            for suffix in ("postings.bin", "terms.parquet"):
+                name = f"bucket={bucket:04d}.{suffix}"
+                assert (dst / name).read_bytes() == (src / name).read_bytes()
+        for row in rows[1:]:
+            assert row == built["full", 0, row["bucket"]]
+
+
+def _remeta(t: pa.Table, **fields) -> pa.Table:
+    """The same pages re-crawled: every row gets a new doc_meta."""
+    from marginalia_ray.model.codecs import encode_doc_meta
+
+    meta = pa.array([encode_doc_meta(**fields)] * t.num_rows, type=pa.uint64())
+    return t.set_column(t.schema.get_field_index("doc_meta"), "doc_meta", meta)
+
+
+def _index_contents(build) -> dict:
+    """Every posting of a build as canonical (term, id)-sorted arrays per
+    (kind, shard), independent of how the shard is split into buckets."""
+    out = {}
+    n_shards = read_manifest(build)["n_shards"]
+    for kind in ("full", "prio"):
+        for shard in range(n_shards):
+            parts = list(SegmentShardReader(build, kind, shard).iter_buckets())
+            terms = np.concatenate([p[1] for p in parts])
+            ids = np.concatenate([p[2] for p in parts])
+            order = np.lexsort((ids, terms))
+            metas = np.concatenate([p[3] for p in parts])[order] if kind == "full" else None
+            out[kind, shard] = (terms[order], ids[order], metas)
+    return out
+
+
+def _assert_same_index(a, b) -> None:
+    ca, cb = _index_contents(a), _index_contents(b)
+    assert ca.keys() == cb.keys()
+    for key in ca:
+        for x, y in zip(ca[key], cb[key]):
+            np.testing.assert_array_equal(x, y)
+    fa, fb = ForwardIndex(a), ForwardIndex(b)
+    for col in ("url_ids", "doc_metas", "domain_ids"):
+        np.testing.assert_array_equal(getattr(fa, col), getattr(fb, col))
+
+
+@pytest.fixture(scope="module")
+def recrawl(ray_session, tmp_path_factory):
+    """The factors journal as the old build and its url % 5 == 0 slice,
+    re-crawled with a new doc_meta, as the new build."""
+    j = make_factors_journal()
+    old_dir = tmp_path_factory.mktemp("old")
+    build_index(ray.data.from_arrow(j), old_dir, n_shards=4, n_buckets=2)
+    v2 = _remeta(_filter_journal(j, lambda u: u % 5 == 0), year=4, sets=1, quality=3)
+    new_dir = tmp_path_factory.mktemp("new")
+    build_index(ray.data.from_arrow(v2), new_dir, n_shards=4, n_buckets=2)
+    return j, v2, old_dir, new_dir
+
 
 class TestOverwriteMerge:
-    def test_recrawl_replaces_old_versions(self, ray_session, tmp_path_factory):
-        from marginalia_ray.model.codecs import encode_doc_meta
-
-        j = make_factors_journal()
-        old_dir = tmp_path_factory.mktemp("old")
-        build_index(ray.data.from_arrow(j), old_dir, n_shards=4, n_buckets=2)
-
-        # re-crawl slice: every doc with url % 5 == 0, new doc_meta
-        slice_tbl = _filter_journal(j, lambda u: u % 5 == 0)
-        new_meta = pa.array(
-            [encode_doc_meta(year=4, sets=1, quality=3)] * slice_tbl.num_rows,
-            type=pa.uint64(),
-        )
-        v2 = slice_tbl.set_column(
-            slice_tbl.schema.get_field_index("doc_meta"), "doc_meta", new_meta
-        )
-        new_dir = tmp_path_factory.mktemp("new")
-        build_index(ray.data.from_arrow(v2), new_dir, n_shards=4, n_buckets=2)
-
+    def test_recrawl_replaces_old_versions(self, recrawl, tmp_path_factory):
+        j, v2, old_dir, new_dir = recrawl
         out_dir = tmp_path_factory.mktemp("overwritten")
         overwrite_merge(old_dir, new_dir, out_dir)
-        # the tombstoned intermediate is cleaned up after a successful
-        # merge (one leak per re-crawl cycle would double storage)
+        # one pass: no intermediate build is left next to the output
         assert not (Path(str(out_dir) + "_tombstoned")).exists()
 
         # reference result: fresh build over (old minus slice) + v2
@@ -146,6 +200,80 @@ class TestOverwriteMerge:
             oo, eo = np.argsort(ids_o, kind="stable"), np.argsort(ids_e, kind="stable")
             np.testing.assert_array_equal(m_o[oo], m_e[eo])
         assert read_manifest(out_dir)["doc_count"] == expect_tbl.num_rows
+
+    def test_manifest_lineage(self, recrawl, tmp_path):
+        _, v2, old_dir, new_dir = recrawl
+        m = overwrite_merge(old_dir, new_dir, tmp_path / "out")
+        old_m, new_m = read_manifest(old_dir), read_manifest(new_dir)
+        assert m["merged_from"] == [old_m["build_id"], new_m["build_id"]]
+        assert m["n_tombstones"] == v2.num_rows  # each re-crawled url once
+        assert m["n_deleted_docs"] == v2.num_rows  # each had one old version
+        assert m["doc_count"] == old_m["doc_count"]
+
+    def test_tombstone_bound_is_loud(self, recrawl, tmp_path):
+        _, _, old_dir, new_dir = recrawl
+        with pytest.raises(RuntimeError, match="exceeds"):
+            overwrite_merge(old_dir, new_dir, tmp_path / "out", max_tombstones=3)
+
+    def test_resume_rebuilds_only_a_broken_shard(self, recrawl, tmp_path):
+        j, v2, old_dir, new_dir = recrawl
+        out = tmp_path / "out"
+        m1 = overwrite_merge(old_dir, new_dir, out)
+        before = {p: p.read_bytes() for p in sorted(out.rglob("*.postings.bin"))}
+
+        # a crash mid-shard: its marker is gone and one of its runs is cut
+        victim = out / "full" / "shard=00001"
+        (victim / "_DONE.json").unlink()
+        run = sorted(victim.glob("*.postings.bin"))[0]
+        run.write_bytes(run.read_bytes()[:16])
+        stamps = {p: p.stat().st_mtime_ns for p in out.glob("**/_DONE.json")}
+        m2 = overwrite_merge(old_dir, new_dir, out)
+        for p, t in stamps.items():
+            assert p.stat().st_mtime_ns == t, f"{p} was rewritten"
+        assert (victim / "_DONE.json").exists()
+        assert {p: p.read_bytes() for p in sorted(out.rglob("*.postings.bin"))} == before
+        assert m2["runs"] == m1["runs"]
+
+        # a new build of the same slice has another id: the whole job reruns
+        new2 = tmp_path / "new2"
+        build_index(ray.data.from_arrow(v2), new2, n_shards=4, n_buckets=2)
+        stamps = {p: p.stat().st_mtime_ns for p in out.glob("**/_DONE.json")}
+        m3 = overwrite_merge(old_dir, new2, out)
+        for p, t in stamps.items():
+            assert p.stat().st_mtime_ns != t, f"{p} was kept"
+        assert m3["merged_from"][1] == read_manifest(new2)["build_id"]
+        assert m3["runs"] == m1["runs"]
+
+    def test_chained_overwrites_equal_fresh_builds(self, ray_session, tmp_path):
+        """Six re-crawl cycles, each replacing some live urls and adding
+        some new ones: every result equals a fresh build of the journal it
+        should hold, and the forward part count never grows."""
+        j = make_factors_journal()
+        urls = (j["doc_id"].to_numpy() & np.uint64(0xFFFFFFFF)).astype(np.int64)
+        expect = j.filter(pa.array(urls % 4 != 3))
+        # several blocks, so each build writes several forward parts
+        live = tmp_path / "live0"
+        build_index(ray.data.from_arrow([expect.slice(k, 100) for k in range(0, expect.num_rows, 100)]),
+                    live, n_shards=4, n_buckets=2)
+        n_parts = len(list((live / "forward").glob("*.parquet")))
+        assert n_parts > 1
+        for c in range(6):
+            recrawled = _remeta(_filter_journal(j, lambda u: u % 6 == c), year=c + 1, sets=1, quality=c % 4)
+            new = tmp_path / f"new{c}"
+            half = recrawled.num_rows // 2
+            build_index(ray.data.from_arrow([recrawled.slice(0, half), recrawled.slice(half)]),
+                        new, n_shards=4, n_buckets=1 + c % 3)
+            out = tmp_path / f"live{c + 1}"
+            m = overwrite_merge(live, new, out)
+            expect = pa.concat_tables(
+                [_filter_journal(expect, lambda u: u % 6 != c), recrawled]
+            )
+            fresh = tmp_path / f"fresh{c}"
+            build_index(ray.data.from_arrow(expect), fresh, n_shards=4, n_buckets=2)
+            _assert_same_index(out, fresh)
+            assert m["doc_count"] == expect.num_rows
+            assert len(list((out / "forward").glob("*.parquet"))) == n_parts
+            live = out
 
     def test_empty_tombstones_is_identity_copy(self, ray_session, tmp_path_factory):
         j = make_factors_journal()
