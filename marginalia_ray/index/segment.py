@@ -350,31 +350,31 @@ def get_current(root: str | Path) -> str | None:
     return p.read_text().strip() if p.exists() else None
 
 
-# Resume scaffold of the per-shard build rewrites (merge_builds, delete_docs,
-# overwrite_merge): a job file at the output root holds the job key, and
-# every finished unit (one kind/shard directory, or forward/) holds a
-# _DONE.json marker with it.
+# Resume scaffold of the per-shard build rewrites (merge._rewrite, behind
+# merge_builds, delete_docs and overwrite_merge): a job file at the output
+# root holds the job key, and every finished unit (one kind/shard
+# directory, or forward/) holds a _DONE.json marker with it.
 
 
-def start_job(out_dir: str | Path, job_file: str, job_key: str, resume: bool) -> None:
-    """Begin or resume a rewrite into out_dir.  Unless resuming the job the
-    job file already names, every output subtree is stale: wipe them all and
-    record the new key."""
+def start_job(out_dir: str | Path, job_file: str, job_key: str) -> None:
+    """Begin or resume a rewrite into out_dir.  Unless the job file already
+    names this job, every output subtree is stale: wipe them all and record
+    the new key."""
     p = Path(out_dir) / job_file
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     prior = json.loads(p.read_text()).get("job_key") if p.exists() else None
-    if not (resume and prior == job_key):
+    if prior != job_key:
         for sub in ("forward", "full", "prio"):
             shutil.rmtree(Path(out_dir) / sub, ignore_errors=True)
         write_json_atomic(p, {"job_key": job_key, "started_at": time.time()})
 
 
-def done_marker(unit_dir: Path, job_key: str, resume: bool) -> dict | None:
+def done_marker(unit_dir: Path, job_key: str) -> dict | None:
     """The _DONE.json payload if this job already finished unit_dir;
     otherwise wipe what a crashed or different attempt left there (so stale
     files never survive into the finished unit) and return None."""
     marker = unit_dir / "_DONE.json"
-    if resume and marker.exists():
+    if marker.exists():
         done = json.loads(marker.read_text())
         if done.get("job_key") == job_key:
             return done

@@ -62,6 +62,14 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--no-resume", action="store_true", help="rebuild from scratch")
     p.add_argument("--num-cpus", type=int, default=None, help="local-mode CPU count")
     args = p.parse_args(argv)
+    # the rewrites always resume and run one task per (kind, shard)
+    rewrite = args.merge or args.delete_from or args.overwrite
+    if rewrite and args.no_resume:
+        p.error("--no-resume does not apply to --merge, --delete-from or --overwrite")
+    if rewrite and args.concurrency is not None:
+        p.error("--concurrency does not apply to --merge, --delete-from or --overwrite")
+    if args.delete_from and not args.tombstones:
+        p.error("--delete-from requires --tombstones")
 
     import ray
 
@@ -76,22 +84,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.merge:
             from marginalia_ray.index.merge import merge_builds
 
-            manifest = merge_builds(
-                args.merge, args.out, concurrency=args.concurrency
-            )
+            manifest = merge_builds(args.merge, args.out)
             print(json.dumps({k: v for k, v in manifest.items() if k != "runs"}))
             return 0
         if args.delete_from:
-            if not args.tombstones:
-                p.error("--delete-from requires --tombstones")
             from marginalia_ray.index.delete import delete_docs
 
             if args.tombstones.replace(",", "").replace("-", "").isdigit():
                 tombs = [int(t) for t in args.tombstones.split(",") if t]
             else:
-                import ray.data
+                import pyarrow.parquet as pq
 
-                tombs = ray.data.read_parquet(args.tombstones, columns=["url_id"])
+                tombs = pq.read_table(args.tombstones, columns=["url_id"])["url_id"].to_numpy()
             manifest = delete_docs(args.delete_from, args.out, tombs)
             print(json.dumps({k: v for k, v in manifest.items() if k != "runs"}))
             return 0

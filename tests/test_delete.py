@@ -102,7 +102,7 @@ class TestDeleteParity:
         assert other["n_deleted_docs"] == 3
 
     def test_untouched_buckets_are_copied(self, deleted_vs_fresh, tmp_path, monkeypatch):
-        from marginalia_ray.index import delete, segment
+        from marginalia_ray.index import merge, segment
 
         full_dir = deleted_vs_fresh[0]
         buckets = list(SegmentShardReader(full_dir, "full", 0).iter_buckets())
@@ -112,8 +112,8 @@ class TestDeleteParity:
         encodes = []
         real = segment.encode_run
         monkeypatch.setattr(segment, "encode_run", lambda *a: encodes.append(1) or real(*a))
-        rows = delete._delete_shard._function(
-            str(full_dir), str(tmp_path), "full", 0, tomb, "job", False
+        rows = merge._delete_shard._function(
+            str(full_dir), str(tmp_path), "full", 0, tomb, "job"
         )
         assert len(encodes) == 1
         src, dst = Path(full_dir) / "full" / "shard=00000", tmp_path / "full" / "shard=00000"

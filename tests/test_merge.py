@@ -3,6 +3,8 @@ journal slices must reproduce the fresh full build — per-term posting
 lists (ids AND metas), forward lookups, and engine-level query results —
 and refuse non-disjoint or shard-incompatible sources."""
 
+from pathlib import Path
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -10,7 +12,7 @@ import ray.data
 
 from marginalia_ray.functions.hashing import term_hash
 from marginalia_ray.index.build import build_index
-from marginalia_ray.index.merge import merge_builds
+from marginalia_ray.index.merge import _merge_shard, merge_builds
 from marginalia_ray.index.segment import (
     ForwardIndex,
     SegmentShardReader,
@@ -20,6 +22,16 @@ from marginalia_ray.query.engine import IndexSearcher, SearchSpec, Subquery
 from marginalia_ray.sources.factors import make_factors_journal
 
 PROBE_TERMS = ["1", "2", "3", "5", "17", "100", "251", "509"]
+
+
+def _n_forward_parts(build) -> int:
+    return len(list((Path(build) / "forward").glob("*.parquet")))
+
+
+def _assert_same_forward(a, b) -> None:
+    fa, fb = ForwardIndex(a), ForwardIndex(b)
+    for col in ("url_ids", "doc_metas", "domain_ids", "n_collisions"):
+        np.testing.assert_array_equal(getattr(fa, col), getattr(fb, col))
 
 
 def _slices(n_slices: int):
@@ -82,6 +94,13 @@ class TestMergeParity:
         np.testing.assert_array_equal(df_, dm)
         assert manifest["doc_count"] == 511
 
+    def test_forward_keeps_first_source_layout(self, merged_vs_full):
+        """The forward pass keeps the first source's part count and gives
+        the arrays of a fresh build of the union journal."""
+        full_dir, src_dirs, out_dir, _ = merged_vs_full
+        assert _n_forward_parts(out_dir) == _n_forward_parts(src_dirs[0])
+        _assert_same_forward(out_dir, full_dir)
+
     def test_merged_lists_sorted_per_term(self, merged_vs_full):
         _, _, out_dir, manifest = merged_vs_full
         assert manifest["n_buckets"] >= 2  # re-salting preserved
@@ -100,27 +119,36 @@ class TestMergeParity:
 
 class TestMergeGuards:
     def test_non_disjoint_sources_rejected(self, ray_session, tmp_path_factory):
-        a = tmp_path_factory.mktemp("dup_a")
-        b = tmp_path_factory.mktemp("dup_b")
         j = make_factors_journal()
-        build_index(ray.data.from_arrow(j), a, n_shards=2, n_buckets=1)
-        build_index(ray.data.from_arrow(j), b, n_shards=2, n_buckets=1)
-        with pytest.raises(RuntimeError, match="doc-disjoint"):
-            merge_builds([a, b], tmp_path_factory.mktemp("dup_out"))
+        parts = _slices(2)
+        # the whole journal twice; two slices that share exactly 3 urls
+        cases = [
+            (j, j, r"merge_builds: 511 \(url_id, domain_id\) pairs .* doc-disjoint"),
+            (parts[0], pa.concat_tables([parts[1], parts[0].slice(0, 3)]),
+             r"merge_builds: 3 \(url_id, domain_id\) pairs .* doc-disjoint"),
+        ]
+        for first, second, message in cases:
+            a = tmp_path_factory.mktemp("dup_a")
+            b = tmp_path_factory.mktemp("dup_b")
+            build_index(ray.data.from_arrow(first), a, n_shards=2, n_buckets=1)
+            build_index(ray.data.from_arrow(second), b, n_shards=2, n_buckets=1)
+            with pytest.raises(RuntimeError, match=message):
+                merge_builds([a, b], tmp_path_factory.mktemp("dup_out"))
 
     def test_duplicate_postings_caught_without_check(
         self, ray_session, tmp_path_factory
     ):
-        """check_disjoint=False skips the forward scan but the posting
-        merge still refuses duplicate (term, doc) pairs."""
+        """Past the forward check, the per-shard posting merge itself still
+        refuses duplicate (term, doc) pairs."""
         a = tmp_path_factory.mktemp("nd_a")
         b = tmp_path_factory.mktemp("nd_b")
         j = make_factors_journal()
         build_index(ray.data.from_arrow(j), a, n_shards=2, n_buckets=1)
         build_index(ray.data.from_arrow(j), b, n_shards=2, n_buckets=1)
-        with pytest.raises(Exception, match="doc-disjoint|duplicate"):
-            merge_builds(
-                [a, b], tmp_path_factory.mktemp("nd_out"), check_disjoint=False
+        with pytest.raises(RuntimeError, match="duplicate"):
+            _merge_shard._function(
+                [str(a), str(b)], str(tmp_path_factory.mktemp("nd_out")),
+                "full", 0, 1, "job", np.zeros(0, np.uint64),
             )
 
     def test_shard_mismatch_rejected(self, ray_session, tmp_path_factory):
@@ -167,7 +195,6 @@ class TestMergeResume:
     ):
         import json
         import shutil
-        from pathlib import Path
 
         parts = _slices(2)
         a = tmp_path_factory.mktemp("rs_a")
@@ -188,7 +215,7 @@ class TestMergeResume:
             p: p.stat().st_mtime_ns
             for p in Path(out).glob("*/shard=*/_DONE.json")
         }
-        m2 = merge_builds([a, b], out)  # resume=True default
+        m2 = merge_builds([a, b], out)  # the same job resumes
         # completed shards untouched
         for p, t in stamps.items():
             assert p.stat().st_mtime_ns == t, f"{p} was rewritten"
@@ -199,21 +226,22 @@ class TestMergeResume:
         assert m2["doc_count"] == m1["doc_count"]
 
     def test_param_change_invalidates_resume(self, ray_session, tmp_path_factory):
-        from pathlib import Path
-
         parts = _slices(2)
         a = tmp_path_factory.mktemp("pc_a")
         b = tmp_path_factory.mktemp("pc_b")
+        b2 = tmp_path_factory.mktemp("pc_b2")
         build_index(ray.data.from_arrow(parts[0]), a, n_shards=2, n_buckets=1)
-        build_index(ray.data.from_arrow(parts[1]), b, n_shards=2, n_buckets=1)
+        for d in (b, b2):
+            build_index(ray.data.from_arrow(parts[1]), d, n_shards=2, n_buckets=1)
         out = tmp_path_factory.mktemp("pc_out")
-        merge_builds([a, b], out, n_buckets_out=1)
+        merge_builds([a, b], out)
         stamps = {
             p: p.stat().st_mtime_ns
             for p in Path(out).glob("*/shard=*/_DONE.json")
         }
-        merge_builds([a, b], out, n_buckets_out=3)  # different job key
-        # every marker rewritten (full rebuild), postings re-salted
+        # the same slice rebuilt under another build id: a different job key
+        merge_builds([a, b2], out)
+        # every marker rewritten (full rebuild)
         for p, t in stamps.items():
             assert p.stat().st_mtime_ns != t
         s = IndexSearcher(out)
@@ -266,6 +294,8 @@ class TestHierarchicalMerge:
         root = tmp_path_factory.mktemp("h_root")
         manifest = merge_builds([m01, m23], root)
         assert manifest["doc_count"] == 511
+        assert _n_forward_parts(root) == _n_forward_parts(m01) == _n_forward_parts(leaves[0])
+        _assert_same_forward(root, full_dir)
 
         sf, sm = IndexSearcher(full_dir), IndexSearcher(root)
         for t in PROBE_TERMS:
@@ -282,8 +312,6 @@ class TestHierarchicalMerge:
 def test_current_pointer_swap_to_merged_build(ray_session, tmp_path_factory):
     """S6 atomic switch works for merge output: point CURRENT at the
     merged build and read through the root like the serving path does."""
-    from pathlib import Path
-
     from marginalia_ray.index.segment import get_current, set_current
 
     root = tmp_path_factory.mktemp("swap_root")
