@@ -203,6 +203,21 @@ def entry() -> Any:
         shutil.rmtree(out_root, ignore_errors=True)
 
 
+def _browse_cache_dir(sf_dir: str) -> str:
+    """Cache directory of the browse artifact built from ``sf_dir``: keyed
+    by the directory and by the size and mtime of every parquet file the
+    build reads, so a changed input builds a new artifact."""
+    import hashlib
+    import os
+
+    key = [os.path.abspath(sf_dir)]
+    for name in ("lineitem.parquet", "part.parquet"):
+        st = os.stat(os.path.join(sf_dir, name))
+        key.append(f"{name}:{st.st_size}:{st.st_mtime_ns}")
+    digest = hashlib.md5("\n".join(key).encode()).hexdigest()[:12]
+    return f"/tmp/marginalia_ray_browse/{digest}_v3"
+
+
 # ---- queries ----------------------------------------------------------
 
 
@@ -1033,7 +1048,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         distinct orders, good = distinct suppliers, rank = (id*7919)%997
         as in the old-algo fixture); crawl queue = names with id % 9 == 0,
         blacklist names = id % 31 == 0."""
-        import hashlib
         import os
 
         import numpy as np
@@ -1043,10 +1057,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from marginalia_ray.pipelines.browse_artifact import (
             BrowseArtifact,
             build_browse_artifact,
+            rank_neighbors,
         )
 
-        key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
-        out = f"/tmp/marginalia_ray_browse/{key}_v3"
+        out = _browse_cache_dir(sf_dir)
         if os.path.exists(f"{out}/_MANIFEST.json"):
             return BrowseArtifact(out)
 
@@ -1057,41 +1071,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
             pk = (_fx(d.astype(np.uint64)) % np.uint64(64)).view(np.int64)
             return b.append_column("_pk", pa.array(pk))
 
-        def _rn_part(part: "pa.Table") -> "pa.Table":
-            # vectorized per-domain relatedness rank within the bucket
-            if part.num_rows == 0:
-                return pa.table(
-                    {
-                        "domain_id": pa.array([], pa.int64()),
-                        "neighbor_id": pa.array([], pa.int64()),
-                        "adj_idx": pa.array([], pa.int64()),
-                        "relatedness": pa.array([], pa.float64()),
-                    }
-                )
-            d = part["domain_id"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-            n = part["neighbor_id"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-            r = part["relatedness"].to_numpy(zero_copy_only=False)
-            order = np.lexsort((n, -r, d))
-            d_s = d[order]
-            starts = np.flatnonzero(np.r_[True, d_s[1:] != d_s[:-1]])
-            seg = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(d_s)]))
-            idx = np.arange(len(d_s)) - starts[seg] + 1
-            # relatedness rides along so the artifact also serves the
-            # cosine-similar query (DbBrowseDomainsSimilarCosine)
-            return pa.table(
-                {
-                    "domain_id": pa.array(d_s),
-                    "neighbor_id": pa.array(n[order]),
-                    "adj_idx": pa.array(idx),
-                    "relatedness": pa.array(r[order]),
-                }
-            )
-
         nb = (
             q_domain_adjacencies(sf_dir)
             .map_batches(_rn_key, batch_format="pyarrow")
             .groupby("_pk")
-            .map_groups(_rn_part, batch_format="pyarrow")
+            .map_groups(rank_neighbors, batch_format="pyarrow")
         )
 
         def _meta_key(b: "pa.Table") -> "pa.Table":
@@ -2073,8 +2057,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def q_audio_features(sf_dir: str):
         # Multimodal driver row (audio): deterministic 16-bit mono WAV per
         # doc (sr 8 kHz, secs = 0.5 + (doc_id % 5)/4, freq = 200 +
-        # 100*(doc_id % 7)) through AudioFeatureStage's REAL decode with
-        # the gate OFF; output = the SQL-mirrorable metadata (the MFCC
+        # 100*(doc_id % 7)) through AudioFeatureStage's REAL decode;
+        # output = the SQL-mirrorable metadata (the MFCC
         # values themselves are pytest-pinned, tests/test_mp2.py and
         # test_multimodal_decode.py)
         import io
@@ -2112,7 +2096,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             .filter(expr="doc_id < 40")
             .map_batches(_wavs, batch_format="pyarrow", batch_size=16)
             .map_batches(
-                AudioFeatureStage(fake=False), batch_format="pyarrow", batch_size=16
+                AudioFeatureStage(), batch_format="pyarrow", batch_size=16
             )
         )
         return ds.select_columns(["doc_id", "duration_s", "sample_rate"])
@@ -2120,8 +2104,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def q_image_features(sf_dir: str):
         # Multimodal driver row (image): deterministic RGB PNG per doc
         # (w = 8 + doc_id % 9, h = 6 + doc_id % 5, gradient fill) through
-        # ImageDecodeStage's REAL PNG decode with the gate OFF; output =
-        # the SQL-mirrorable metadata (pixel/embedding correctness is
+        # ImageDecodeStage's REAL PNG decode; output = the
+        # SQL-mirrorable metadata (pixel/embedding correctness is
         # pytest-pinned, tests/test_multimodal_decode.py)
         import struct
         import zlib
@@ -2166,7 +2150,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             .filter(expr="doc_id < 40")
             .map_batches(_imgs, batch_format="pyarrow", batch_size=16)
             .map_batches(
-                ImageDecodeStage(fake=False), batch_format="pyarrow", batch_size=16
+                ImageDecodeStage(), batch_format="pyarrow", batch_size=16
             )
         )
         return ds.select_columns(["doc_id", "width", "height", "channels"])
@@ -2227,8 +2211,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pagerank_scores": q_pagerank,
         "cohort_retention": q_cohort_retention,
         "chunk_documents": q_chunk_documents,
-        # multimodal driver rows (round 5): REAL WAV / PNG decode with the
-        # gates OFF, metadata mirrored in SQL — never driver-checked before
+        # multimodal driver rows (round 5): REAL WAV / PNG decode,
+        # metadata mirrored in SQL — never driver-checked before
         "audio_features": q_audio_features,
         "image_features": q_image_features,
         "marginalia_search": q_index_search,

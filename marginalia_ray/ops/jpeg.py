@@ -3,8 +3,8 @@
 Supports the overwhelmingly-common web case: baseline sequential DCT
 (SOF0), 8-bit, grayscale or YCbCr with 4:4:4 / 4:2:2 / 4:2:0 chroma
 sampling, restart markers (DRI/RSTn).  Progressive (SOF2), arithmetic
-coding, 12-bit and hierarchical modes raise ValueError — callers fall
-back to the multimodal stage's gated pseudo-decode path.
+coding, 12-bit and hierarchical modes raise ops.multimodal's
+UnsupportedFormat (a ValueError); damaged data raises a plain ValueError.
 
 Decode pipeline: marker parse -> canonical Huffman tables (DHT) ->
 entropy-decode MCUs (byte-stuffed bit reader) -> dequantize (DQT) ->
@@ -25,6 +25,8 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+
+from marginalia_ray.ops.multimodal import UnsupportedFormat
 
 _MAX_PIXELS = 64 * 1024 * 1024
 
@@ -154,7 +156,7 @@ def decode_jpeg(data: bytes):
     """(w, h, channels, pixels uint8 HxWxC) for baseline JPEG.
     channels is 1 (grayscale) or 3 (RGB from YCbCr)."""
     if data[:2] != b"\xff\xd8":
-        raise ValueError("not jpeg")
+        raise UnsupportedFormat("not jpeg")
     pos = 2
     qt: dict[int, np.ndarray] = {}
     huff_dc: dict[int, HuffTable] = {}
@@ -177,7 +179,7 @@ def decode_jpeg(data: bytes):
                 pq, tq = data[p] >> 4, data[p] & 15
                 p += 1
                 if pq:
-                    raise ValueError("jpeg: 16-bit quant tables unsupported")
+                    raise UnsupportedFormat("jpeg: 16-bit quant tables unsupported")
                 qt[tq] = np.frombuffer(data, np.uint8, 64, p).astype(np.int32)
                 p += 64
         elif marker == 0xC4:  # DHT
@@ -192,13 +194,13 @@ def decode_jpeg(data: bytes):
         elif marker == 0xC0:  # SOF0 baseline
             prec = data[body]
             if prec != 8:
-                raise ValueError("jpeg: only 8-bit baseline supported")
+                raise UnsupportedFormat("jpeg: only 8-bit baseline supported")
             h, w = struct.unpack_from(">HH", data, body + 1)
             nc = data[body + 5]
             if nc not in (1, 3):
-                raise ValueError("jpeg: unsupported component count")
+                raise UnsupportedFormat("jpeg: unsupported component count")
             if w * h > _MAX_PIXELS:
-                raise ValueError("jpeg: image too large")
+                raise UnsupportedFormat("jpeg: image too large")
             comps = []
             for c in range(nc):
                 o = body + 6 + 3 * c
@@ -208,7 +210,7 @@ def decode_jpeg(data: bytes):
             frame = (w, h, comps)
         elif marker in (0xC1, 0xC2, 0xC3, 0xC5, 0xC6, 0xC7, 0xC9, 0xCA,
                         0xCB, 0xCD, 0xCE, 0xCF):
-            raise ValueError("jpeg: non-baseline SOF unsupported")
+            raise UnsupportedFormat("jpeg: non-baseline SOF unsupported")
         elif marker == 0xDD:  # DRI
             restart_interval = struct.unpack_from(">H", data, body)[0]
         elif marker == 0xDA:  # SOS

@@ -1,6 +1,7 @@
 """MPEG-1 Audio Layer II (ISO 11172-3) payload decode — from scratch.
 
-Retires the ``fake=True`` gate for Layer II streams (VERDICT r4 #6): the
+Layer II streams get real spectral features in
+ops/multimodal.AudioFeatureStage through this decoder: the
 bitstream-structure decode is the real Annex B layout — bit-allocation
 tables B.2a-d (per (sample-rate, bitrate/channel) selection, the dist10
 ``pick_table`` rule), scfsi, 6-bit scalefactor indices with the
@@ -23,6 +24,12 @@ Both deviations cancel in the paired encoder (``tests/mp2_encoder.py``,
 the repo's JPEG/GIF fixture convention), so round-trip tests validate
 frequency placement, amplitude and duration for real.
 
+Joint-stereo frames (mode 1) are rejected: above the mode-extension bound
+both channels share one allocation and one sample set, which this decoder
+does not implement, so decoding them as two channels would give wrong PCM.
+Every failure is a ValueError; AudioFeatureStage then falls back to the
+frame-header walk.
+
 Layer III (MP3) payload stays gated: its Huffman code books and IMDCT
 window types are tabulated data of a different order of magnitude.
 
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from marginalia_ray.ops.multimodal import _MP3_BITRATE, _MP3_RATES
+from marginalia_ray.ops.multimodal import _MP3_BITRATE, _MP3_RATES, UnsupportedFormat
 
 # ---- Annex B bit-allocation tables --------------------------------------
 # Each table: list of (nbal, steps) per subband, where steps[alloc_index]
@@ -94,6 +101,8 @@ class _BitReader:
         self.pos = pos_bits
 
     def read(self, n: int) -> int:
+        if self.pos + n > 8 * len(self.data):
+            raise ValueError("mp2: frame runs past the end of the stream")
         out = 0
         for _ in range(n):
             byte = self.data[self.pos >> 3]
@@ -135,6 +144,8 @@ def decode_frame_subbands(data: bytes, pos: int):
     if hdr is None:
         raise ValueError("not a Layer II frame header")
     bitrate, rate, nch, flen, protected = hdr
+    if (data[pos + 3] >> 6) & 3 == 1:
+        raise UnsupportedFormat("mp2: joint stereo frames are not decoded")
     table = _pick_table(rate, bitrate // 1000 // nch)
     sblimit = len(table)
     br = _BitReader(data, (pos + 4) * 8 + (16 if protected else 0))

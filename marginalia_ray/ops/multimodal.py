@@ -16,12 +16,17 @@ Decode support, container-native (no external codec libraries):
   * video — REAL decoder for AVI with uncompressed (BI_RGB 'DIB ')
     or MJPG (per-frame baseline JPEG) streams: RIFF hdrl/movi parse,
     frame sampling at ~fps_sample with a real per-frame content
-    embedding; inter-frame codecs (H.264/VP9) remain gated behind
-    ``fake=True`` / NotImplementedError.
+    embedding; inter-frame codecs (H.264/VP9) are not decoded.
 
-Payloads in unrecognized formats (progressive JPEG, Vorbis, ...) fall back to
-the ``fake=True`` deterministic pseudo-decode (seeded by content hash) so
-pipelines keep streaming, or raise with ``fake=False``.  MPEG audio:
+Every stage adds a string column ``decode_status`` with one of four values:
+``ok`` (a native decoder read the payload), ``envelope`` (audio only: the
+MPEG frame-header walk filled ``mfcc_mean`` with the bitrate envelope),
+``unsupported`` (no decoder here handles the format or variant: unknown
+magic bytes, progressive JPEG, 24-bit PCM, H.264 AVI, ...; the decoder
+raised UnsupportedFormat) or ``corrupt`` (a decoder recognised the format
+but the data failed to decode: any other ValueError).  A payload that does
+not decode gives one row with its id, every feature column null and its
+status; a failed payload never kills the task.  MPEG audio:
 **Layer II payloads decode for real** (ops/mp2.py — full Annex B
 bitstream walk, dequantization, polyphase synthesis; round-trip
 validated) and feed true spectral MFCCs with NO gate.  Layer III (MP3)
@@ -43,8 +48,6 @@ from the output so downstream stages stream slim feature rows.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
 
@@ -57,9 +60,30 @@ _MAX_PNG_PIXELS = 64 * 1024 * 1024
 _MAX_GIF_PIXELS = 4 * 1024 * 1024  # LZW is per-code Python work; cap tighter
 
 
-def _content_rng(payload: bytes) -> np.random.RandomState:
-    seed = int.from_bytes(hashlib.blake2b(payload, digest_size=4).digest(), "little")
-    return np.random.RandomState(seed)
+class UnsupportedFormat(ValueError):
+    """No decoder in this module handles the payload's format or variant.
+    Any other ValueError from a decoder means the payload is corrupt."""
+
+
+def _failure_status(ex: ValueError) -> str:
+    return "unsupported" if isinstance(ex, UnsupportedFormat) else "corrupt"
+
+
+def _decode_columns(payloads, decode, n_features: int):
+    """Run ``decode(payload) -> (status, *features)`` over the payloads.
+    A ValueError gives null features and the status of its class.
+    Returns (one list per feature, status list)."""
+    cols: list[list] = [[] for _ in range(n_features)]
+    status = []
+    for p in payloads:
+        try:
+            st, *feats = decode(p)
+        except ValueError as ex:
+            st, feats = _failure_status(ex), [None] * n_features
+        status.append(st)
+        for col, v in zip(cols, feats):
+            col.append(v)
+    return cols, status
 
 
 # ---- real image decoders (stdlib + numpy only) -------------------------
@@ -75,7 +99,7 @@ def _decode_png(data: bytes):
     import zlib
 
     if data[:8] != b"\x89PNG\r\n\x1a\n":
-        raise ValueError("not png")
+        raise UnsupportedFormat("not png")
     pos, idat, w, h, color_type = 8, b"", None, None, None
     palette = None
     while pos + 8 <= len(data):
@@ -88,23 +112,25 @@ def _decode_png(data: bytes):
                 ">IIBBBBB", chunk
             )
             if depth != 8 or interlace:
-                raise ValueError("unsupported png variant")
+                raise UnsupportedFormat("unsupported png variant")
         elif ctype == b"PLTE":
             palette = np.frombuffer(chunk, np.uint8).reshape(-1, 3)
         elif ctype == b"IDAT":
             idat += chunk
         elif ctype == b"IEND":
             break
+    if w is None:
+        raise ValueError("png without IHDR")
     if color_type == 3 and palette is None:
         raise ValueError("paletted png without PLTE")
     if color_type not in (0, 2, 3, 4, 6):
-        raise ValueError("unsupported png color type")
+        raise UnsupportedFormat("unsupported png color type")
     channels = {0: 1, 2: 3, 3: 1, 4: 2, 6: 4}[color_type]
     stride = w * channels
     if w * h > _MAX_PNG_PIXELS:
         # bound unfilter work: a crafted huge Paeth-filtered image would
         # otherwise stall a decode actor for minutes
-        raise ValueError("png too large")
+        raise UnsupportedFormat("png too large")
     raw = np.frombuffer(zlib.decompress(idat), np.uint8).reshape(h, stride + 1)
     out = np.zeros((h, stride), np.int32)
     zero_row: list[int] = [0] * stride
@@ -158,7 +184,7 @@ def _decode_png(data: bytes):
 def _decode_ppm(data: bytes):
     """Binary PPM (P6) / PGM (P5)."""
     if data[:2] not in (b"P6", b"P5"):
-        raise ValueError("not ppm/pgm")
+        raise UnsupportedFormat("not ppm/pgm")
     channels = 3 if data[:2] == b"P6" else 1
     # header: magic, width, height, maxval (whitespace/comment separated)
     tokens, pos = [], 2
@@ -176,7 +202,7 @@ def _decode_ppm(data: bytes):
     pos += 1  # single whitespace after maxval
     w, h, maxval = tokens
     if maxval > 255:
-        raise ValueError("16-bit ppm/pgm unsupported")
+        raise UnsupportedFormat("16-bit ppm/pgm unsupported")
     px = np.frombuffer(data, np.uint8, count=w * h * channels, offset=pos)
     return w, h, channels, px.reshape(h, w, channels)
 
@@ -186,13 +212,13 @@ def _decode_bmp(data: bytes):
     import struct
 
     if data[:2] != b"BM":
-        raise ValueError("not bmp")
+        raise UnsupportedFormat("not bmp")
     (off,) = struct.unpack("<I", data[10:14])
     w, h = struct.unpack("<ii", data[18:26])
     (bpp,) = struct.unpack("<H", data[28:30])
     (comp,) = struct.unpack("<I", data[30:34])
     if bpp != 24 or comp != 0:
-        raise ValueError("unsupported bmp variant")
+        raise UnsupportedFormat("unsupported bmp variant")
     flip = h > 0
     h = abs(h)
     row = (w * 3 + 3) & ~3  # 4-byte aligned rows
@@ -266,7 +292,7 @@ def _decode_gif(data: bytes):
     import struct
 
     if data[:6] not in (b"GIF87a", b"GIF89a"):
-        raise ValueError("not gif")
+        raise UnsupportedFormat("not gif")
     _sw, _sh, packed, _bg, _ar = struct.unpack("<HHBBB", data[6:13])
     pos = 13
     gct = None
@@ -298,7 +324,7 @@ def _decode_gif(data: bytes):
         if w * h > _MAX_GIF_PIXELS or w == 0 or h == 0:
             # tighter than the PNG cap: LZW decode is one Python step per
             # code, so a huge GIF costs real actor time — fall back instead
-            raise ValueError("gif: unsupported dimensions")
+            raise UnsupportedFormat("gif: unsupported dimensions")
         min_code = data[pos]
         pos += 1
         chunks = []
@@ -347,10 +373,11 @@ def _image_embedding(px: np.ndarray, dim: int) -> np.ndarray:
 
 
 def decode_image_payload(data: bytes):
-    """(w, h, channels, pixels) for PNG (incl. paletted) / PPM / BMP / GIF.
-    Raises ValueError for unrecognized formats AND for corrupt/unsupported
-    files of a recognized format (truncated chunks, interlaced PNGs,
-    16-bit PPMs, ...) so callers have one fallback path."""
+    """(w, h, channels, pixels) for PNG (incl. paletted) / PPM / BMP / GIF /
+    baseline JPEG.  Raises UnsupportedFormat for unrecognized formats and
+    for variants no decoder here handles (interlaced PNGs, 16-bit PPMs,
+    progressive JPEGs, ...), and a plain ValueError for corrupt files of a
+    recognized format (truncated chunks, bad LZW codes, ...)."""
     import struct
     import zlib
 
@@ -371,58 +398,44 @@ def decode_image_payload(data: bytes):
                 px = np.repeat(px, 3, axis=2)
                 c = 3
             return w, h, c, px
-    except ValueError:
-        raise
     except (struct.error, zlib.error, IndexError, KeyError) as ex:
         raise ValueError(f"undecodable image: {ex}") from ex
-    raise ValueError("unrecognized image format")
+    raise UnsupportedFormat("unrecognized image format")
 
 
 class ImageDecodeStage:
-    """binary image column -> (id, width, height, channels, embedding).
+    """binary image column -> (id, width, height, channels, embedding,
+    decode_status).
 
     PNG / PPM / BMP / GIF / baseline-JPEG payloads decode for real
-    (decode_image_payload); other formats (progressive JPEG, WebP)
-    pseudo-decode with ``fake=True`` or raise with ``fake=False``.
+    (decode_image_payload, status ``ok``); other formats (progressive
+    JPEG, WebP) give null features with status ``unsupported``, and
+    damaged payloads null features with status ``corrupt``.
     """
 
-    def __init__(self, embed_dim: int = 32, fake: bool = True,
-                 payload_col: str = "image", id_col: str = "doc_id"):
-        self.embed_dim, self.fake = embed_dim, fake
+    def __init__(self, embed_dim: int = 32, payload_col: str = "image",
+                 id_col: str = "doc_id"):
+        self.embed_dim = embed_dim
         self.payload_col, self.id_col = payload_col, id_col
         # model-load placeholder: happens ONCE per actor (A-pool pattern)
         self.model = None
 
+    def _decode(self, p: bytes):
+        w, h, c, px = decode_image_payload(p)
+        return "ok", int(w), int(h), int(c), _image_embedding(px, self.embed_dim).tolist()
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch[self.payload_col].to_pylist()
-        w, h, c, emb = [], [], [], []
-        for p in payloads:
-            try:
-                pw, ph, pc, px = decode_image_payload(p)
-                w.append(int(pw)); h.append(int(ph)); c.append(int(pc))
-                emb.append(_image_embedding(px, self.embed_dim))
-                continue
-            except ValueError:
-                pass
-            if not self.fake:
-                raise NotImplementedError(
-                    "only PNG/PPM/BMP/GIF/baseline-JPEG decode natively; "
-                    "progressive JPEG / WebP need codec libraries — run "
-                    "with fake=True to pseudo-decode unknown formats"
-                )
-            rng = _content_rng(p)
-            w.append(int(rng.randint(64, 4096)))
-            h.append(int(rng.randint(64, 4096)))
-            c.append(3)
-            v = rng.standard_normal(self.embed_dim)
-            emb.append((v / np.linalg.norm(v)).astype(np.float32))
+        (w, h, c, emb), status = _decode_columns(
+            batch[self.payload_col].to_pylist(), self._decode, 4
+        )
         return pa.table(
             {
                 self.id_col: batch[self.id_col],
                 "width": pa.array(w, pa.int32()),
                 "height": pa.array(h, pa.int32()),
                 "channels": pa.array(c, pa.int32()),
-                "embedding": pa.array([e.tolist() for e in emb], pa.list_(pa.float32())),
+                "embedding": pa.array(emb, pa.list_(pa.float32())),
+                "decode_status": pa.array(status, pa.string()),
             }
         )
 
@@ -433,17 +446,31 @@ class ImageDecodeStage:
 def _wav_features(data: bytes, n_mfcc: int):
     """RIFF/WAV PCM -> (duration_s, sample_rate, mfcc_mean) with an actual
     MFCC: 1024-sample Hann frames, power spectrum, 26-band mel filterbank,
-    log, DCT-II, first n_mfcc coefficients averaged over frames."""
+    log, DCT-II, first n_mfcc coefficients averaged over frames.  Raises
+    UnsupportedFormat for non-PCM and 24-bit PCM files, ValueError for
+    damaged ones."""
     import io
     import wave
 
-    with wave.open(io.BytesIO(data)) as wf:
-        sr = wf.getframerate()
-        nchan = wf.getnchannels()
-        nframes = wf.getnframes()
-        width = wf.getsampwidth()
-        raw = wf.readframes(nframes)
-    dtype = {1: np.uint8, 2: np.int16, 4: np.int32}[width]
+    try:
+        with wave.open(io.BytesIO(data)) as wf:
+            sr = wf.getframerate()
+            nchan = wf.getnchannels()
+            nframes = wf.getnframes()
+            width = wf.getsampwidth()
+            raw = wf.readframes(nframes)
+    except wave.Error as ex:
+        # these two name the format, not damage to the bytes
+        if str(ex).startswith(("unknown format", "not a WAVE file")):
+            raise UnsupportedFormat(f"wav: {ex}") from ex
+        raise ValueError(f"wav: {ex}") from ex
+    except EOFError as ex:
+        raise ValueError("wav: truncated") from ex
+    dtype = {1: np.uint8, 2: np.int16, 4: np.int32}.get(width)
+    if dtype is None:
+        raise UnsupportedFormat(f"wav: {8 * width}-bit PCM")
+    if sr <= 0:
+        raise ValueError("wav: bad frame rate")
     x = np.frombuffer(raw, dtype).astype(np.float64)
     if width == 1:
         x = x - 128.0
@@ -717,76 +744,55 @@ def _mp3_envelope_vector(kbps: np.ndarray, n_dims: int) -> np.ndarray:
 
 
 class AudioFeatureStage:
-    """binary audio column -> (id, duration_s, sample_rate, mfcc_mean).
+    """binary audio column -> (id, duration_s, sample_rate, mfcc_mean,
+    decode_status).
 
-    WAV payloads decode for real (_wav_features).  MP3 payloads get REAL
+    WAV PCM and MPEG-1 Layer II payloads decode for real (_wav_features,
+    ops/mp2.py; status ``ok``).  Other MPEG audio (Layer III, and Layer II
+    streams the decoder rejects, such as joint stereo) gets REAL
     duration/sample-rate metadata AND a real compressed-domain feature
     vector from the frame-header walk (mp3_frame_envelope: the per-frame
     bitrate envelope — a genuine content signal for the VBR streams web
-    encoders emit; flat for CBR, honestly).  The feature rides in the
-    ``mfcc_mean`` slot with the same (n_mfcc,) float32 shape; true
-    spectral MFCCs would need the Layer III payload decode, which stays
-    DATA-gated (Annex B Huffman/window tables, see module docstring).
-    Other compressed formats pseudo-decode with ``fake=True`` or raise
-    with ``fake=False``."""
+    encoders emit; flat for CBR, honestly), with status ``envelope``.  The
+    feature rides in the ``mfcc_mean`` slot with the same (n_mfcc,)
+    float32 shape; true spectral MFCCs would need the Layer III payload
+    decode, which stays DATA-gated (Annex B Huffman/window tables, see
+    module docstring).  Other formats and 24-bit PCM give null features
+    with status ``unsupported``; damaged payloads status ``corrupt``."""
 
-    def __init__(self, n_mfcc: int = 13, fake: bool = True,
-                 payload_col: str = "audio", id_col: str = "doc_id"):
-        self.n_mfcc, self.fake = n_mfcc, fake
+    def __init__(self, n_mfcc: int = 13, payload_col: str = "audio",
+                 id_col: str = "doc_id"):
+        self.n_mfcc = n_mfcc
         self.payload_col, self.id_col = payload_col, id_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch[self.payload_col].to_pylist()
-        dur, sr, mfcc = [], [], []
-        import wave as _wave
-
+    def _decode(self, p: bytes):
         from marginalia_ray.ops.mp2 import mp2_mfcc, sniff_layer
 
-        for p in payloads:
-            if p[:4] == b"RIFF":
-                try:
-                    d, s, m = _wav_features(p, self.n_mfcc)
-                    dur.append(float(d)); sr.append(int(s)); mfcc.append(m)
-                    continue
-                except (_wave.Error, KeyError, ValueError, EOFError):
-                    # KeyError: unsupported sample width (e.g. 24-bit PCM);
-                    # wave.Error/EOFError: corrupt/non-PCM RIFF.  Fall
-                    # through to the gated pseudo-decode path below.
-                    pass
-            if p[:3] == b"ID3" or (len(p) > 1 and p[0] == 0xFF and (p[1] & 0xE0) == 0xE0):
-                if sniff_layer(p) == 2:
-                    # Layer II: REAL payload decode (ops/mp2.py) -> true
-                    # spectral MFCCs — no gate for this layer
-                    try:
-                        d, s, m = mp2_mfcc(p, self.n_mfcc)
-                        dur.append(float(d)); sr.append(int(s)); mfcc.append(m)
-                        continue
-                    except ValueError:
-                        pass
-                try:
-                    d, s, _nf, kbps = mp3_frame_envelope(p)
-                    dur.append(float(d)); sr.append(int(s))
-                    # real compressed-domain feature: bitrate envelope
-                    mfcc.append(_mp3_envelope_vector(kbps, self.n_mfcc))
-                    continue
-                except ValueError:
-                    pass
-            if not self.fake:
-                raise NotImplementedError(
-                    "only PCM RIFF/WAV (8/16/32-bit) decodes natively; "
-                    "compressed audio and 24-bit PCM need codec libraries "
-                    "— run with fake=True to pseudo-decode"
-                )
-            rng = _content_rng(p)
-            dur.append(float(rng.uniform(0.5, 600.0)))
-            sr.append(int(rng.choice([16000, 22050, 44100])))
-            mfcc.append(rng.standard_normal(self.n_mfcc).astype(np.float32))
+        if p[:4] == b"RIFF":
+            d, s, m = _wav_features(p, self.n_mfcc)
+            return "ok", float(d), int(s), m.tolist()
+        if not (p[:3] == b"ID3" or (len(p) > 1 and p[0] == 0xFF and (p[1] & 0xE0) == 0xE0)):
+            raise UnsupportedFormat("audio: only RIFF/WAV PCM and MPEG audio decode here")
+        if sniff_layer(p) == 2:
+            try:
+                d, s, m = mp2_mfcc(p, self.n_mfcc)
+                return "ok", float(d), int(s), m.tolist()
+            except ValueError:
+                pass  # the frame-header walk below still reads it
+        d, s, _nf, kbps = mp3_frame_envelope(p)
+        return "envelope", float(d), int(s), _mp3_envelope_vector(kbps, self.n_mfcc).tolist()
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        (dur, sr, mfcc), status = _decode_columns(
+            batch[self.payload_col].to_pylist(), self._decode, 3
+        )
         return pa.table(
             {
                 self.id_col: batch[self.id_col],
                 "duration_s": pa.array(dur, pa.float64()),
                 "sample_rate": pa.array(sr, pa.int32()),
-                "mfcc_mean": pa.array([m.tolist() for m in mfcc], pa.list_(pa.float32())),
+                "mfcc_mean": pa.array(mfcc, pa.list_(pa.float32())),
+                "decode_status": pa.array(status, pa.string()),
             }
         )
 
@@ -817,13 +823,13 @@ def decode_avi_frames(data: bytes, frame_indices=None, sample_fps=None,
     when frame_indices is None).  Alternatively pass sample_fps (+ an
     optional max_frames cap): frames are sampled at ~sample_fps during
     the SAME movi walk that counts them — one container parse instead of
-    a count pass plus a decode pass.  Raises ValueError for non-AVI
-    payloads and for compressed codecs (MJPG/H264 need codec
-    libraries)."""
+    a count pass plus a decode pass.  Raises UnsupportedFormat for
+    non-AVI payloads and for codecs other than DIB and MJPG (H.264,
+    VP9, ...), and ValueError for damaged files."""
     import struct
 
     if data[:4] != b"RIFF" or data[8:12] != b"AVI ":
-        raise ValueError("not avi")
+        raise UnsupportedFormat("not avi")
     want = None if frame_indices is None else set(int(i) for i in frame_indices)
 
     us_per_frame = total_frames = width = height = None
@@ -861,7 +867,7 @@ def decode_avi_frames(data: bytes, frame_indices=None, sample_fps=None,
     elif compression == 0 and bpp == 24:
         mode = "dib"
     else:
-        raise ValueError("avi: unsupported codec (only DIB and MJPG decode natively)")
+        raise UnsupportedFormat("avi: unsupported codec (only DIB and MJPG decode natively)")
 
     fps_val = (1_000_000.0 / us_per_frame) if us_per_frame else 0.0
     step = None
@@ -900,75 +906,66 @@ def decode_avi_frames(data: bytes, frame_indices=None, sample_fps=None,
 
 class VideoFrameSampleStage:
     """binary video column -> one row per sampled frame:
-    (id, frame_no, ts_s, frame_embedding).
+    (id, frame_no, ts_s, frame_embedding, decode_status).
 
     AVI payloads with uncompressed ('DIB ' BI_RGB) or MJPG (per-frame
     baseline JPEG) streams decode for real (decode_avi_frames) with frame
-    sampling at ~fps_sample and a real content embedding per frame;
-    inter-frame codecs (H.264/VP9) pseudo-decode with ``fake=True`` or
-    raise with ``fake=False``."""
+    sampling at ~fps_sample and a real content embedding per frame
+    (status ``ok``).  A payload that does not decode gives ONE row with
+    null frame columns and status ``unsupported`` (other containers,
+    inter-frame codecs such as H.264/VP9) or ``corrupt`` (a damaged
+    container or frame)."""
 
     def __init__(self, fps_sample: float = 0.2, max_frames: int = 8,
-                 embed_dim: int = 32, fake: bool = True,
-                 payload_col: str = "video", id_col: str = "doc_id"):
+                 embed_dim: int = 32, payload_col: str = "video",
+                 id_col: str = "doc_id"):
         self.fps_sample, self.max_frames = fps_sample, max_frames
-        self.embed_dim, self.fake = embed_dim, fake
+        self.embed_dim = embed_dim
         self.payload_col, self.id_col = payload_col, id_col
 
-    def _emit_real(self, p: bytes, i, out_id, out_fno, out_ts, out_emb) -> bool:
+    def _frames(self, p: bytes):
+        """[(frame_no, ts_s, embedding)] of the sampled frames."""
         import struct
         import zlib
 
         try:
             # single container walk: frames sampled at ~fps_sample while
-            # the movi chunks are counted (was: a count pass + a decode
-            # pass, parsing every chunk header twice).  The decode must
-            # still fall back: a truncated or corrupt MJPG frame raises
-            # after the header parse succeeded.
-            w, h, fps, n_frames, frames = decode_avi_frames(
+            # the movi chunks are counted
+            _w, _h, fps, n_frames, frames = decode_avi_frames(
                 p, sample_fps=self.fps_sample, max_frames=self.max_frames
             )
-            if n_frames == 0:
-                return False
-            indices = sorted(frames)
-            embs = [_image_embedding(frames[fi], self.embed_dim).tolist()
-                    for fi in indices]
-        except (ValueError, IndexError, KeyError, struct.error, zlib.error):
-            return False
-        for fi, emb in zip(indices, embs):
-            out_id.append(i)
-            out_fno.append(fi)
-            out_ts.append(round(fi / fps, 3) if fps else 0.0)
-            out_emb.append(emb)
-        return True
+        except (IndexError, KeyError, struct.error, zlib.error) as ex:
+            raise ValueError(f"avi: {ex}") from ex
+        if n_frames == 0:
+            raise ValueError("avi: no frames")
+        return [
+            (fi, round(fi / fps, 3) if fps else 0.0,
+             _image_embedding(frames[fi], self.embed_dim).tolist())
+            for fi in sorted(frames)
+        ]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         payloads = batch[self.payload_col].to_pylist()
         ids = batch[self.id_col].to_pylist()
-        out_id, out_fno, out_ts, out_emb = [], [], [], []
+        out_id, out_fno, out_ts, out_emb, out_status = [], [], [], [], []
         for i, p in zip(ids, payloads):
-            if self._emit_real(p, i, out_id, out_fno, out_ts, out_emb):
-                continue
-            if not self.fake:
-                raise NotImplementedError(
-                    "only DIB/MJPG AVI decodes natively; other containers/"
-                    "codecs need ffmpeg — run with fake=True to pseudo-decode"
-                )
-            rng = _content_rng(p)
-            duration = float(rng.uniform(1.0, 120.0))
-            n = min(self.max_frames, max(1, int(duration * self.fps_sample)))
-            for f in range(n):
+            try:
+                rows, status = self._frames(p), "ok"
+            except ValueError as ex:
+                rows, status = [(None, None, None)], _failure_status(ex)
+            for fno, ts, emb in rows:
                 out_id.append(i)
-                out_fno.append(f)
-                out_ts.append(round(f / max(self.fps_sample, 1e-9), 3))
-                v = rng.standard_normal(self.embed_dim)
-                out_emb.append((v / np.linalg.norm(v)).astype(np.float32).tolist())
+                out_fno.append(fno)
+                out_ts.append(ts)
+                out_emb.append(emb)
+                out_status.append(status)
         return pa.table(
             {
                 self.id_col: pa.array(out_id),
                 "frame_no": pa.array(out_fno, pa.int32()),
                 "ts_s": pa.array(out_ts, pa.float64()),
                 "frame_embedding": pa.array(out_emb, pa.list_(pa.float32())),
+                "decode_status": pa.array(out_status, pa.string()),
             }
         )
 
@@ -996,55 +993,58 @@ def _bilinear_resize(px: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
 
 
 class ImageResizeStage:
-    """binary image column -> (id, width, height, channels, pixels) with
-    the decoded image bilinearly resampled to (out_width, out_height) —
-    the thumbnail / model-input normalization step of a multimodal
-    training pipeline.  `pixels` is the raw interleaved uint8 buffer
-    (binary column, out_h*out_w*channels bytes): a fixed-shape tensor
-    ready for batched model input, kept opaque to Arrow like every other
-    payload in this module.
+    """binary image column -> (id, width, height, channels, pixels,
+    decode_status) with the decoded image bilinearly resampled to
+    (out_width, out_height) — the thumbnail / model-input normalization
+    step of a multimodal training pipeline.  `pixels` is the raw
+    interleaved uint8 buffer (binary column, out_h*out_w*channels bytes):
+    a fixed-shape tensor ready for batched model input, kept opaque to
+    Arrow like every other payload in this module.
 
-    Decodes the same real formats as ImageDecodeStage; undecodable
-    payloads pseudo-resize (content-seeded noise) with ``fake=True`` or
-    raise with ``fake=False``."""
+    Decodes the same real formats as ImageDecodeStage; a payload that
+    does not decode gives null width/height/channels/pixels with status
+    ``unsupported`` or ``corrupt``."""
 
     def __init__(self, out_width: int = 64, out_height: int = 64,
-                 fake: bool = True, payload_col: str = "image",
-                 id_col: str = "doc_id"):
-        self.out_w, self.out_h, self.fake = int(out_width), int(out_height), fake
+                 payload_col: str = "image", id_col: str = "doc_id"):
+        self.out_w, self.out_h = int(out_width), int(out_height)
         self.payload_col, self.id_col = payload_col, id_col
 
+    def _resize(self, p: bytes):
+        pw, ph, pc, px = decode_image_payload(p)
+        px = np.asarray(px, dtype=np.uint8).reshape(int(ph), int(pw), int(pc))
+        out = _bilinear_resize(px, self.out_w, self.out_h)
+        return "ok", self.out_w, self.out_h, int(pc), out.tobytes()
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch[self.payload_col].to_pylist()
-        bufs, ch = [], []
-        for p in payloads:
-            try:
-                pw, ph, pc, px = decode_image_payload(p)
-                px = np.asarray(px, dtype=np.uint8).reshape(int(ph), int(pw), int(pc))
-                out = _bilinear_resize(px, self.out_w, self.out_h)
-                bufs.append(out.tobytes())
-                ch.append(int(pc))
-                continue
-            except ValueError:
-                pass
-            if not self.fake:
-                raise NotImplementedError(
-                    "only PNG/PPM/BMP/GIF/baseline-JPEG decode natively; "
-                    "run with fake=True to pseudo-resize unknown formats"
-                )
-            rng = _content_rng(p)
-            bufs.append(rng.randint(0, 256, self.out_h * self.out_w * 3,
-                                    dtype=np.int64).astype(np.uint8).tobytes())
-            ch.append(3)
+        (w, h, ch, bufs), status = _decode_columns(
+            batch[self.payload_col].to_pylist(), self._resize, 4
+        )
         return pa.table(
             {
                 self.id_col: batch[self.id_col],
-                "width": pa.array([self.out_w] * len(bufs), pa.int32()),
-                "height": pa.array([self.out_h] * len(bufs), pa.int32()),
+                "width": pa.array(w, pa.int32()),
+                "height": pa.array(h, pa.int32()),
                 "channels": pa.array(ch, pa.int32()),
                 "pixels": pa.array(bufs, pa.binary()),
+                "decode_status": pa.array(status, pa.string()),
             }
         )
+
+
+def _actor_pool(ds, stage, concurrency, batch_size, stage_kwargs):
+    """``stage`` over ``ds`` in an actor pool of small batches (payload
+    rows are fat); the default pool is one actor short of the cluster's
+    CPUs, at least two."""
+    if concurrency is None:
+        concurrency = max(2, int(ray.cluster_resources().get("CPU", 8)) - 1)
+    return ds.map_batches(
+        stage,
+        fn_constructor_kwargs=stage_kwargs,
+        batch_format="pyarrow",
+        batch_size=batch_size,
+        concurrency=concurrency,
+    )
 
 
 def resize_images(ds, out_width: int = 64, out_height: int = 64,
@@ -1052,53 +1052,23 @@ def resize_images(ds, out_width: int = 64, out_height: int = 64,
                   **stage_kwargs):
     """Actor-pool bilinear image resize over a binary column (small
     batches: fat rows in AND out — out rows are out_w*out_h*c bytes)."""
-    if concurrency is None:
-        concurrency = max(2, int(ray.cluster_resources().get("CPU", 8)) - 1)
-    return ds.map_batches(
-        ImageResizeStage,
-        fn_constructor_kwargs=dict(out_width=out_width, out_height=out_height,
-                                   **stage_kwargs),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+    return _actor_pool(
+        ds, ImageResizeStage, concurrency, batch_size,
+        dict(out_width=out_width, out_height=out_height, **stage_kwargs),
     )
 
 
 def decode_images(ds, concurrency: int | None = None, batch_size: int = 16, **stage_kwargs):
     """Actor-pool image decode over a binary column (small batches: fat rows)."""
-    if concurrency is None:
-        concurrency = max(2, int(ray.cluster_resources().get("CPU", 8)) - 1)
-    return ds.map_batches(
-        ImageDecodeStage,
-        fn_constructor_kwargs=stage_kwargs,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return _actor_pool(ds, ImageDecodeStage, concurrency, batch_size, stage_kwargs)
 
 
 def audio_features(ds, concurrency: int | None = None, batch_size: int = 16, **stage_kwargs):
-    if concurrency is None:
-        concurrency = max(2, int(ray.cluster_resources().get("CPU", 8)) - 1)
-    return ds.map_batches(
-        AudioFeatureStage,
-        fn_constructor_kwargs=stage_kwargs,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return _actor_pool(ds, AudioFeatureStage, concurrency, batch_size, stage_kwargs)
 
 
 def sample_video_frames(ds, concurrency: int | None = None, batch_size: int = 8, **stage_kwargs):
-    if concurrency is None:
-        concurrency = max(2, int(ray.cluster_resources().get("CPU", 8)) - 1)
-    return ds.map_batches(
-        VideoFrameSampleStage,
-        fn_constructor_kwargs=stage_kwargs,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return _actor_pool(ds, VideoFrameSampleStage, concurrency, batch_size, stage_kwargs)
 
 
 # ---- perceptual hash (pHash) + hamming near-dup pairs ----------------------
@@ -1143,36 +1113,25 @@ def compute_phash(data: bytes) -> int:
 
 
 class ImagePhashStage:
-    """binary image column -> (id, phash) for near-duplicate image
-    detection.  Real pHash for every natively-decodable format;
-    undecodable payloads pseudo-hash deterministically (content-seeded)
-    with ``fake=True`` or raise with ``fake=False``."""
+    """binary image column -> (id, phash, decode_status) for
+    near-duplicate image detection.  Real pHash for every natively
+    decodable format; a payload that does not decode gets a null phash
+    with status ``unsupported`` or ``corrupt``."""
 
-    def __init__(self, fake: bool = True, payload_col: str = "image",
-                 id_col: str = "doc_id"):
-        self.fake = fake
+    def __init__(self, payload_col: str = "image", id_col: str = "doc_id"):
         self.payload_col, self.id_col = payload_col, id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out = []
-        for p in batch[self.payload_col].to_pylist():
-            try:
-                out.append(compute_phash(p))
-                continue
-            except ValueError:
-                pass
-            if not self.fake:
-                raise NotImplementedError(
-                    "only PNG/PPM/BMP/GIF/baseline-JPEG decode natively; "
-                    "run with fake=True to pseudo-hash unknown formats"
-                )
-            out.append(
-                int.from_bytes(hashlib.blake2b(p, digest_size=8).digest(), "big")
-            )
+        (ph,), status = _decode_columns(
+            batch[self.payload_col].to_pylist(),
+            lambda p: ("ok", compute_phash(p)),
+            1,
+        )
         return pa.table(
             {
                 self.id_col: batch[self.id_col],
-                "phash": pa.array(np.array(out, dtype=np.uint64)),
+                "phash": pa.array(ph, pa.uint64()),
+                "decode_status": pa.array(status, pa.string()),
             }
         )
 
@@ -1180,15 +1139,7 @@ class ImagePhashStage:
 def image_phash(ds, concurrency: int | None = None, batch_size: int = 16,
                 **stage_kwargs):
     """Actor-pool perceptual hashing over a binary image column."""
-    if concurrency is None:
-        concurrency = max(2, int(ray.cluster_resources().get("CPU", 8)) - 1)
-    return ds.map_batches(
-        ImagePhashStage,
-        fn_constructor_kwargs=stage_kwargs,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return _actor_pool(ds, ImagePhashStage, concurrency, batch_size, stage_kwargs)
 
 
 def phash_pairs(ds, max_hamming: int = 3, payload_col: str = "image",
@@ -1201,6 +1152,7 @@ def phash_pairs(ds, max_hamming: int = 3, payload_col: str = "image",
     vectorized popcount verify, and a (doc_a, doc_b) min-dedup.  Chunk
     buckets past `max_docs_per_chunk` are skipped (the DoS-guard
     convention; run exact byte dedup first on mass-duplicate corpora).
+    Images that do not decode have no pHash and pair with nothing.
 
     Output: (doc_a, doc_b, hamming), doc_a < doc_b."""
     from marginalia_ray.ops.dedup import _emit_pairs_per_key
@@ -1211,6 +1163,7 @@ def phash_pairs(ds, max_hamming: int = 3, payload_col: str = "image",
     )
 
     def _explode_chunks(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(batch["phash"].is_valid())  # undecoded images
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         ph = batch["phash"].to_numpy(zero_copy_only=False)
         n = len(ids)

@@ -47,6 +47,17 @@ from marginalia_ray.ops.relational import hash_equi_join
 _LINKING_TOP = 25  # EC_RELATED_LINKS_VIEW ... LIMIT 25
 
 
+# the neighbors table both build paths write (rank_neighbors' output)
+_NEIGHBORS_SCHEMA = pa.schema(
+    [
+        ("domain_id", pa.int64()),
+        ("neighbor_id", pa.int64()),
+        ("adj_idx", pa.int64()),
+        ("relatedness", pa.float64()),
+    ]
+)
+
+
 def _bucket_of_int(ids: np.ndarray, n_buckets: int) -> np.ndarray:
     return (_fmix64_vec(ids.astype(np.int64).astype(U64)) % U64(n_buckets)).view(
         np.int64
@@ -128,25 +139,11 @@ def build_browse_artifact(
 
     _write_bucketed(
         neighbors, out / "neighbors", "domain_id", n_buckets,
-        empty_schema=pa.schema(
-            [
-                ("domain_id", pa.int64()),
-                ("neighbor_id", pa.int64()),
-                ("adj_idx", pa.int64()),
-                ("relatedness", pa.float64()),
-            ]
-        ),
+        empty_schema=_NEIGHBORS_SCHEMA,
     )
     _write_bucketed(
         neighbors, out / "neighbors_rev", "neighbor_id", n_buckets,
-        empty_schema=pa.schema(
-            [
-                ("domain_id", pa.int64()),
-                ("neighbor_id", pa.int64()),
-                ("adj_idx", pa.int64()),
-                ("relatedness", pa.float64()),
-            ]
-        ),
+        empty_schema=_NEIGHBORS_SCHEMA,
     )
     if screenshots is not None:
         _write_bucketed(screenshots, out / "screenshots", "domain_id", n_buckets)
@@ -513,7 +510,7 @@ class BrowseArtifact:
                     "domain_meta", int(b), pads.field("domain_id").isin(want.tolist())
                 )
             )
-        return pa.concat_tables(tabs) if tabs else tabs[0]
+        return pa.concat_tables(tabs)
 
     # -- DbBrowseDomainsSimilarOldAlgo.getDomainNeighborsAdjacent ------
     def old_algo_neighbors(
@@ -661,6 +658,32 @@ class BrowseArtifact:
         )
 
 
+def rank_neighbors(part: pa.Table) -> pa.Table:
+    """One group of domain_adjacencies rows (every row of a domain in the
+    same group) -> the neighbors table: per domain, neighbors ordered by
+    relatedness desc then neighbor_id asc, numbered from 1 as ``adj_idx``
+    (the EC_DOMAIN_NEIGHBORS_2 ADJ_IDX).  ``relatedness`` rides along so
+    the artifact also serves similar_domains and explorer_related."""
+    if part.num_rows == 0:
+        return _NEIGHBORS_SCHEMA.empty_table()
+    d = part["domain_id"].cast(pa.int64()).to_numpy(zero_copy_only=False)
+    nn = part["neighbor_id"].cast(pa.int64()).to_numpy(zero_copy_only=False)
+    r = part["relatedness"].to_numpy(zero_copy_only=False)
+    order = np.lexsort((nn, -r, d))
+    d_s = d[order]
+    starts = np.flatnonzero(np.r_[True, d_s[1:] != d_s[:-1]])
+    seg = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(d_s)]))
+    idx = np.arange(len(d_s)) - starts[seg] + 1
+    return pa.table(
+        {
+            "domain_id": pa.array(d_s),
+            "neighbor_id": pa.array(nn[order]),
+            "adj_idx": pa.array(idx),
+            "relatedness": pa.array(r[order]),
+        }
+    )
+
+
 def build_browse_from_journal(
     journal_dir: str, out_dir: str, *, n_buckets: int = 64
 ) -> str:
@@ -785,35 +808,10 @@ def build_browse_from_journal(
 
     adj = domain_adjacencies(edges, source_col="src", dest_col="dst")
 
-    def _rank_part(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return pa.table(
-                {
-                    "domain_id": pa.array([], pa.int64()),
-                    "neighbor_id": pa.array([], pa.int64()),
-                    "adj_idx": pa.array([], pa.int64()),
-                }
-            )
-        d = part["domain_id"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        nn = part["neighbor_id"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        r = part["relatedness"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((nn, -r, d))
-        d_s = d[order]
-        starts = np.flatnonzero(np.r_[True, d_s[1:] != d_s[:-1]])
-        seg = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(d_s)]))
-        idx = np.arange(len(d_s)) - starts[seg] + 1
-        return pa.table(
-            {
-                "domain_id": pa.array(d_s),
-                "neighbor_id": pa.array(nn[order]),
-                "adj_idx": pa.array(idx),
-            }
-        )
-
     neighbors = (
         adj.map_batches(_bucket, batch_format="pyarrow")
         .groupby("_pk")
-        .map_groups(_rank_part, batch_format="pyarrow")
+        .map_groups(rank_neighbors, batch_format="pyarrow")
     )
 
     return build_browse_artifact(

@@ -248,10 +248,35 @@ class TestSimilarDomainsParity:
 
 
 class TestJournalBuild:
-    def test_build_from_journal(self, ray_session, tmp_path):
-        """job.py --browse path: a hand-built journal (url, links) yields a
-        servable artifact — domains/meta from urls, degrees from the link
-        graph, neighbors from domain_adjacencies, site_info answerable."""
+    @staticmethod
+    def _journal(tmp_path, hosts, targets):
+        """A converter-shaped journal (url, links): three pages per host,
+        each linking to the front pages of ``targets(host_index)``."""
+        import pyarrow.parquet as pq
+
+        rows_url, rows_links = [], []
+        for i, h in enumerate(hosts):
+            for p in range(3):
+                rows_url.append(f"https://{h}/p{p}")
+                rows_links.append([f"https://{t}/" for t in targets(i)])
+        jdir = tmp_path / "journal"
+        jdir.mkdir()
+        pq.write_table(
+            pa.table(
+                {
+                    "url": pa.array(rows_url, pa.string()),
+                    "links": pa.array(rows_links, pa.list_(pa.string())),
+                }
+            ),
+            jdir / "part-0.parquet",
+        )
+        return jdir
+
+    def test_clique_journal_serves_relatedness(self, ray_session, tmp_path):
+        """A 20-host clique yields real domain adjacencies, so the
+        neighbors table is written from the ranked rows (not the empty
+        schema): similar_domains and explorer_related read its
+        relatedness column."""
         import pyarrow.parquet as pq
 
         from marginalia_ray.pipelines.browse_artifact import (
@@ -260,24 +285,38 @@ class TestJournalBuild:
         )
         from marginalia_ray.pipelines.domain_rank import _id31
 
-        hosts = [f"h{i}.example" for i in range(6)]
-        rows_url, rows_links = [], []
-        for i, h in enumerate(hosts):
-            for p in range(3):
-                rows_url.append(f"https://{h}/p{p}")
-                # each page links to the next two hosts' front pages
-                rows_links.append(
-                    [f"https://{hosts[(i + 1) % 6]}/", f"https://{hosts[(i + 2) % 6]}/"]
-                )
-        j = pa.table(
-            {
-                "url": pa.array(rows_url, pa.string()),
-                "links": pa.array(rows_links, pa.list_(pa.string())),
-            }
+        hosts = [f"h{i}.example" for i in range(20)]
+        jdir = self._journal(
+            tmp_path, hosts, lambda i: [h for j, h in enumerate(hosts) if j != i]
         )
-        jdir = tmp_path / "journal"
-        jdir.mkdir()
-        pq.write_table(j, jdir / "part-0.parquet")
+        art = BrowseArtifact(
+            build_browse_from_journal(str(jdir), str(tmp_path / "browse"), n_buckets=4)
+        )
+        nb = pq.read_table(tmp_path / "browse" / "neighbors")
+        assert nb.num_rows > 0 and "relatedness" in nb.column_names
+        # the journal carries no screenshots, so no neighbor qualifies
+        sim = art.similar_domains([_id31("h0.example")], count=5)
+        assert sim.num_rows == 0
+        assert sim.column_names == ["domain_id", "neighbor_id", "neighbor_name", "relatedness"]
+        rel = art.explorer_related("h0.example").to_pandas()
+        assert set(rel["domain"]) == set(hosts[1:])
+        assert (rel["relatedness"] > 0).all()
+
+    def test_build_from_journal(self, ray_session, tmp_path):
+        """job.py --browse path: a hand-built journal (url, links) yields a
+        servable artifact — domains/meta from urls, degrees from the link
+        graph, neighbors from domain_adjacencies, site_info answerable."""
+        from marginalia_ray.pipelines.browse_artifact import (
+            BrowseArtifact,
+            build_browse_from_journal,
+        )
+        from marginalia_ray.pipelines.domain_rank import _id31
+
+        # each page links to the next two hosts' front pages
+        hosts = [f"h{i}.example" for i in range(6)]
+        jdir = self._journal(
+            tmp_path, hosts, lambda i: [hosts[(i + 1) % 6], hosts[(i + 2) % 6]]
+        )
         out = build_browse_from_journal(str(jdir), str(tmp_path / "browse"), n_buckets=4)
         art = BrowseArtifact(out)
         si = art.site_info("h0.example").to_pandas()
@@ -366,3 +405,21 @@ class TestExplorerRelatedParity:
         assert art.values.tolist() == stream.values.tolist(), (
             f"{query}:\nstream=\n{stream}\nart=\n{art}"
         )
+
+
+def test_bench_cache_dir_tracks_inputs(tmp_path):
+    """The driver's cached browse artifact is keyed by its inputs: touching
+    one parquet file it reads moves the cache directory."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as e
+
+    for name in ("lineitem.parquet", "part.parquet"):
+        pq.write_table(pa.table({"x": [1]}), tmp_path / name)
+    before = e._browse_cache_dir(str(tmp_path))
+    assert e._browse_cache_dir(str(tmp_path)) == before
+    st = os.stat(tmp_path / "part.parquet")
+    os.utime(tmp_path / "part.parquet", ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    assert e._browse_cache_dir(str(tmp_path)) != before

@@ -1,11 +1,14 @@
 """Layer II decode (ops/mp2.py): round-trip validation against the paired
 minimal encoder (tests/mp2_encoder.py) — frequency placement, amplitude,
 SNR, grouped-code classes, table selection — plus AudioFeatureStage
-integration with the Layer II gate removed (fake=False)."""
+integration, the joint-stereo rejection and a fuzz test of damaged
+streams."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 
 def _sine(freq, sr=44100, secs=1.0, amp=0.5):
@@ -106,7 +109,7 @@ class TestSniffer:
 
 class TestAudioFeatureStage:
     def test_layer2_real_mfcc_no_gate(self):
-        """fake=False must NOT raise for Layer II; the MFCCs must match
+        """Layer II decodes for real (status ok); the MFCCs must match
         the WAV path's MFCCs of the same tone (same mel chain over the
         decoded audio) within a loose cepstral distance."""
         import io
@@ -134,7 +137,8 @@ class TestAudioFeatureStage:
                 "audio": pa.array([mp2, wav], pa.binary()),
             }
         )
-        out = AudioFeatureStage(fake=False)(t)
+        out = AudioFeatureStage()(t)
+        assert out["decode_status"].to_pylist() == ["ok", "ok"]
         assert out["sample_rate"].to_pylist() == [44100, 44100]
         durs = out["duration_s"].to_pylist()
         assert abs(durs[0] - 1.0) < 0.05 and abs(durs[1] - 1.0) < 1e-6
@@ -208,3 +212,93 @@ class TestMultiTone:
         e_src = float(np.mean(x**2))
         e_dec = float(np.mean(y**2))
         assert abs(e_dec / e_src - 1.0) < 0.25, (seed, e_src, e_dec)
+
+
+def _frame_starts(data):
+    """Byte offset of every frame in an encoder-made stream (fixed-length
+    frames, no padding, no tag)."""
+    from marginalia_ray.ops.mp2 import _parse_header
+
+    pos, out = 0, []
+    while (hdr := _parse_header(data, pos)) is not None:
+        out.append(pos)
+        pos += hdr[3]
+    return out
+
+
+class TestJointStereo:
+    def test_joint_stereo_rejected_and_stage_falls_back(self):
+        """Mode 1 (joint stereo) shares one allocation and sample set above
+        the mode-extension bound; decoding it as two channels gives wrong
+        PCM, so the decoder refuses it and the stage takes the
+        frame-header walk instead."""
+        import sys
+
+        sys.path.insert(0, "tests")
+        from mp2_encoder import encode_mp2
+
+        from marginalia_ray.ops.mp2 import mp2_decode
+        from marginalia_ray.ops.multimodal import AudioFeatureStage
+
+        x = np.stack([_sine(800.0, secs=0.2), _sine(2400.0, secs=0.2)], axis=1)
+        data = bytearray(encode_mp2(x, 44100, 256))
+        starts = _frame_starts(bytes(data))
+        assert len(starts) > 1
+        for pos in starts:
+            data[pos + 3] = (data[pos + 3] & 0x3F) | 0x40  # mode bits 01
+        data = bytes(data)
+        with pytest.raises(ValueError):
+            mp2_decode(data)
+        out = AudioFeatureStage()(
+            pa.table({"doc_id": pa.array([1], pa.int64()),
+                      "audio": pa.array([data], pa.binary())})
+        )
+        assert out["decode_status"].to_pylist() == ["envelope"]
+        assert out["sample_rate"].to_pylist() == [44100]
+
+
+def _fuzz_stream() -> bytes:
+    import sys
+
+    sys.path.insert(0, "tests")
+    from mp2_encoder import encode_mp2
+
+    return encode_mp2(_sine(700.0, secs=0.1), 44100, 128)
+
+
+_FUZZ = _fuzz_stream()
+
+
+class TestDamagedStreams:
+    """Truncated and bit-flipped Layer II streams: the decoder may fail
+    only with ValueError, and the stage never raises."""
+
+    @given(
+        cut=st.integers(0, len(_FUZZ)),
+        flips=st.lists(st.integers(0, 8 * len(_FUZZ) - 1), max_size=12),
+    )
+    # setting the 3-bit allocations of the silent subbands 11-14 of the
+    # last frame to 7 (16-bit samples) makes it claim more sample bits
+    # than the stream holds
+    @example(cut=len(_FUZZ),
+             flips=list(range(8 * (_frame_starts(_FUZZ)[-1] + 4) + 44,
+                              8 * (_frame_starts(_FUZZ)[-1] + 4) + 56)))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_only_value_error_escapes(self, cut, flips):
+        from marginalia_ray.ops.mp2 import mp2_decode
+        from marginalia_ray.ops.multimodal import AudioFeatureStage
+
+        data = bytearray(_FUZZ)
+        for bit in flips:
+            data[bit >> 3] ^= 0x80 >> (bit & 7)
+        data = bytes(data[:cut])
+        try:
+            mp2_decode(data)
+        except ValueError:
+            pass
+        out = AudioFeatureStage()(
+            pa.table({"doc_id": pa.array([1], pa.int64()),
+                      "audio": pa.array([data], pa.binary())})
+        )
+        assert out.num_rows == 1
+        assert out["decode_status"][0].as_py() in ("ok", "envelope", "unsupported", "corrupt")

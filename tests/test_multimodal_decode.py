@@ -157,25 +157,43 @@ class TestImageDecoders:
 class TestImageStage:
     def test_real_decode_in_stage(self, rgb):
         batch = pa.table({"doc_id": [1], "image": [make_png(rgb)]})
-        out = ImageDecodeStage(fake=False)(batch)
+        out = ImageDecodeStage()(batch)
+        assert out["decode_status"].to_pylist() == ["ok"]
         assert out["width"][0].as_py() == 17
         assert out["height"][0].as_py() == 12
         emb = np.array(out["embedding"][0].as_py())
         assert len(emb) == 32
         assert abs(np.linalg.norm(emb) - 1.0) < 1e-5
         # embedding is a content feature: same image -> same embedding
-        out2 = ImageDecodeStage(fake=False)(batch)
+        out2 = ImageDecodeStage()(batch)
         np.testing.assert_array_equal(emb, np.array(out2["embedding"][0].as_py()))
 
     def test_unknown_format_strict_raises(self):
+        """JPEG magic followed by garbage does not raise: the stage keeps
+        the row with null features and status corrupt."""
         batch = pa.table({"doc_id": [1], "image": [b"\xff\xd8jpeg"]})
-        with pytest.raises(NotImplementedError):
-            ImageDecodeStage(fake=False)(batch)
+        out = ImageDecodeStage()(batch)
+        assert out["doc_id"].to_pylist() == [1]
+        assert out["decode_status"].to_pylist() == ["corrupt"]
+        for col in ("width", "height", "channels", "embedding"):
+            assert out[col].to_pylist() == [None]
 
-    def test_unknown_format_fake_fallback(self):
-        batch = pa.table({"doc_id": [1], "image": [b"\xff\xd8jpeg"]})
-        out = ImageDecodeStage(fake=True)(batch)
-        assert out.num_rows == 1
+    def test_unknown_format_fake_fallback(self, rgb):
+        """No features are made up for a failed payload.  Unknown magic
+        bytes are unsupported; JPEG magic followed by garbage and a
+        truncated PNG are corrupt.  Each failed payload keeps its row with
+        null features; the real one still decodes."""
+        png = make_png(rgb)
+        batch = pa.table({
+            "doc_id": [1, 2, 3, 4],
+            "image": [b"\x00\x01opaque", b"\xff\xd8jpeg", png[: len(png) - 20], png],
+        })
+        out = ImageDecodeStage()(batch)
+        assert out["doc_id"].to_pylist() == [1, 2, 3, 4]
+        assert out["decode_status"].to_pylist() == ["unsupported", "corrupt", "corrupt", "ok"]
+        for col in ("width", "height", "channels", "embedding"):
+            assert out[col].to_pylist()[:3] == [None, None, None]
+        assert out["width"].to_pylist()[3] == 17
 
 
 class TestAudio:
@@ -190,14 +208,20 @@ class TestAudio:
 
     def test_wav_in_stage_strict(self):
         batch = pa.table({"doc_id": [7], "audio": [make_wav()]})
-        out = AudioFeatureStage(fake=False)(batch)
+        out = AudioFeatureStage()(batch)
+        assert out["decode_status"].to_pylist() == ["ok"]
         assert out["sample_rate"][0].as_py() == 16000
         assert abs(out["duration_s"][0].as_py() - 0.5) < 1e-6
 
     def test_mp3ish_strict_raises(self):
+        """An ID3 tag with no MPEG frame after it is corrupt: a null row,
+        no exception (the name predates the null-row contract)."""
         batch = pa.table({"doc_id": [7], "audio": [b"ID3\x03 not-wav"]})
-        with pytest.raises(NotImplementedError):
-            AudioFeatureStage(fake=False)(batch)
+        out = AudioFeatureStage()(batch)
+        assert out.to_pylist() == [
+            {"doc_id": 7, "duration_s": None, "sample_rate": None,
+             "mfcc_mean": None, "decode_status": "corrupt"}
+        ]
 
 
 class TestDecoderRobustness:
@@ -213,9 +237,10 @@ class TestDecoderRobustness:
                + chunk(b"IEND", b""))
         with pytest.raises(ValueError):
             decode_image_payload(png)
-        # and the stage pseudo-decodes it under fake=True
-        out = ImageDecodeStage(fake=True)(pa.table({"doc_id": [1], "image": [png]}))
-        assert out.num_rows == 1
+        # and the stage keeps the row: null features, status corrupt
+        out = ImageDecodeStage()(pa.table({"doc_id": [1], "image": [png]}))
+        assert out["decode_status"].to_pylist() == ["corrupt"]
+        assert out["embedding"].to_pylist() == [None]
 
     def test_truncated_png_valueerror(self):
         with pytest.raises(ValueError):
@@ -227,17 +252,21 @@ class TestDecoderRobustness:
 
     def test_24bit_wav_falls_back(self):
         # hand-build a 24-bit PCM WAV header; wave accepts it but our
-        # dtype table doesn't -> stage must pseudo-decode, not crash
+        # dtype table doesn't -> a null row with status unsupported
         sr, n = 8000, 100
         body = b"\x00\x01\x02" * n
         hdr = (b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
                + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, sr, sr * 3, 3, 24)
                + b"data" + struct.pack("<I", len(body)))
-        batch = pa.table({"doc_id": [1], "audio": [hdr + body]})
-        out = AudioFeatureStage(fake=True)(batch)
-        assert out.num_rows == 1
-        with pytest.raises(NotImplementedError):
-            AudioFeatureStage(fake=False)(batch)
+        # a 16-bit header declaring 0 frames/s is damaged, not unsupported
+        zero_rate = (b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
+                     + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 0, 0, 2, 16)
+                     + b"data" + struct.pack("<I", len(body)))
+        batch = pa.table({"doc_id": [1, 2], "audio": [hdr + body, zero_rate + body]})
+        out = AudioFeatureStage()(batch)
+        assert out["decode_status"].to_pylist() == ["unsupported", "corrupt"]
+        assert out["mfcc_mean"].to_pylist() == [None, None]
+        assert out["duration_s"].to_pylist() == [None, None]
 
 
 def _encode_avi(frames, fps=10):
@@ -298,10 +327,10 @@ def test_video_stage_real_path(ray_session):
     avi = _encode_avi(frames, fps=10)
     t = pa.table({"doc_id": pa.array([7], pa.int64()),
                   "video": pa.array([avi], pa.binary())})
-    # fps_sample=2 on a 10fps clip -> every 5th frame; fake=False proves
-    # the REAL path ran (compressed/unknown payloads would raise)
-    stage = VideoFrameSampleStage(fps_sample=2.0, max_frames=3, fake=False)
+    # fps_sample=2 on a 10fps clip -> every 5th frame
+    stage = VideoFrameSampleStage(fps_sample=2.0, max_frames=3)
     out = stage(t)
+    assert out["decode_status"].to_pylist() == ["ok"] * 3
     assert out["frame_no"].to_pylist() == [0, 5, 10]
     assert out["ts_s"].to_pylist() == [0.0, 0.5, 1.0]
     emb0 = np.asarray(out["frame_embedding"].to_pylist()[0], np.float32)
@@ -309,14 +338,22 @@ def test_video_stage_real_path(ray_session):
 
 
 def test_video_stage_unknown_raises_or_fakes():
+    """Unknown bytes and an AVI whose stream is H.264 are unsupported:
+    one row each with null frame columns, no exception (the name
+    predates the null-row contract)."""
     from marginalia_ray.ops.multimodal import VideoFrameSampleStage
 
-    t = pa.table({"doc_id": pa.array([1], pa.int64()),
-                  "video": pa.array([b"\x00\x01notavideo"], pa.binary())})
-    with pytest.raises(NotImplementedError):
-        VideoFrameSampleStage(fake=False)(t)
-    out = VideoFrameSampleStage(fake=True)(t)
-    assert out.num_rows >= 1  # deterministic pseudo-decode keeps streaming
+    avi = bytearray(_encode_avi([np.zeros((4, 4, 3), np.uint8)]))
+    strf = avi.find(b"strf") + 8
+    avi[strf + 16 : strf + 20] = b"H264"  # BITMAPINFOHEADER biCompression
+    t = pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                  "video": pa.array([b"\x00\x01notavideo", bytes(avi)], pa.binary())})
+    out = VideoFrameSampleStage()(t)
+    assert out.to_pylist() == [
+        {"doc_id": i, "frame_no": None, "ts_s": None, "frame_embedding": None,
+         "decode_status": "unsupported"}
+        for i in (1, 2)
+    ]
 
 
 class TestJpeg:
@@ -371,7 +408,8 @@ class TestJpeg:
         px = self._gradient(16, 16)
         t = pa.table({"doc_id": pa.array([1], pa.int64()),
                       "image": pa.array([encode_jpeg(px)], pa.binary())})
-        out = ImageDecodeStage(fake=False)(t)  # fake=False: real path or bust
+        out = ImageDecodeStage()(t)
+        assert out["decode_status"].to_pylist() == ["ok"]
         assert out["width"].to_pylist() == [16]
         assert out["height"].to_pylist() == [16]
         assert out["channels"].to_pylist() == [3]
@@ -428,8 +466,9 @@ def test_mjpg_avi_decode(ray_session):
         assert rmse < 8.0
 
     t = pa.table({"doc_id": pa.array([1], pa.int64()), "video": pa.array([avi], pa.binary())})
-    res = VideoFrameSampleStage(fps_sample=5, max_frames=8, fake=False)(t)
+    res = VideoFrameSampleStage(fps_sample=5, max_frames=8)(t)
     assert res["frame_no"].to_pylist() == [0, 1, 2]
+    assert res["decode_status"].to_pylist() == ["ok"] * 3
 
 
 def test_avi_with_audio_stream_still_decodes(ray_session):
@@ -472,8 +511,9 @@ def test_avi_with_audio_stream_still_decodes(ray_session):
 
 
 def test_corrupt_mjpg_frame_falls_back_to_fake():
-    """Header parse succeeds but a frame is corrupt: fake=True must keep
-    streaming (pseudo-decode), fake=False must raise NotImplementedError."""
+    """Header parse succeeds but a frame is corrupt: one row with null
+    frame columns and status corrupt, no exception (the name predates the
+    null-row contract)."""
     import struct
 
     from marginalia_ray.ops.multimodal import VideoFrameSampleStage
@@ -496,10 +536,11 @@ def test_corrupt_mjpg_frame_falls_back_to_fake():
     avi = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"AVI " + body
 
     t = pa.table({"doc_id": pa.array([1], pa.int64()), "video": pa.array([avi], pa.binary())})
-    out = VideoFrameSampleStage(fake=True)(t)
-    assert out.num_rows >= 1  # pseudo-decode kept the pipeline streaming
-    with pytest.raises(NotImplementedError):
-        VideoFrameSampleStage(fake=False)(t)
+    out = VideoFrameSampleStage()(t)
+    assert out.to_pylist() == [
+        {"doc_id": 1, "frame_no": None, "ts_s": None, "frame_embedding": None,
+         "decode_status": "corrupt"}
+    ]
 
 
 def test_mp3_stream_info_metadata():
@@ -521,7 +562,8 @@ def test_mp3_stream_info_metadata():
 
     t = pa.table({"doc_id": pa.array([1], pa.int64()),
                   "audio": pa.array([data], pa.binary())})
-    out = AudioFeatureStage(fake=False)(t)  # real-metadata path, no gate
+    out = AudioFeatureStage()(t)  # real metadata from the header walk
+    assert out["decode_status"].to_pylist() == ["envelope"]
     assert out["sample_rate"].to_pylist() == [44100]
     assert abs(out["duration_s"].to_pylist()[0] - dur) < 1e-9
 
@@ -564,12 +606,15 @@ def test_mp3_vbri_header_exact_vbr_duration():
 
 
 def test_mp3_garbage_still_gated():
+    """An ID3v2 tag followed by no frame gets no features: a null row
+    with status corrupt."""
     from marginalia_ray.ops.multimodal import AudioFeatureStage
 
     t = pa.table({"doc_id": pa.array([1], pa.int64()),
                   "audio": pa.array([b"ID3\x04\x00\x00\x00\x00\x00\x00nope"], pa.binary())})
-    with pytest.raises(NotImplementedError):
-        AudioFeatureStage(fake=False)(t)
+    out = AudioFeatureStage()(t)
+    assert out["decode_status"].to_pylist() == ["corrupt"]
+    assert out["mfcc_mean"].to_pylist() == [None]
 
 
 def test_paletted_png_decodes():
@@ -705,7 +750,6 @@ class TestImageResize:
         assert row[0] < 40 and row[-1] > 215
 
     def test_unknown_format_gated(self, ray_session):
-        import pytest
         import ray.data
 
         from marginalia_ray.ops.multimodal import resize_images
@@ -713,11 +757,8 @@ class TestImageResize:
         junk = b"\x00\x01not an image payload"
         ds = ray.data.from_items([{"doc_id": 3, "image": junk}])
         (r,) = resize_images(ds, out_width=4, out_height=4, concurrency=2).take_all()
-        assert len(r["pixels"]) == 4 * 4 * 3  # pseudo path keeps the contract
-        ds2 = ray.data.from_items([{"doc_id": 3, "image": junk}])
-        with pytest.raises(Exception, match="natively"):
-            resize_images(ds2, out_width=4, out_height=4,
-                          fake=False, concurrency=2).take_all()
+        assert r == {"doc_id": 3, "width": None, "height": None, "channels": None,
+                     "pixels": None, "decode_status": "unsupported"}
 
 
 def test_mp3_bitrate_envelope_is_real_signal():
@@ -752,7 +793,8 @@ def test_mp3_bitrate_envelope_is_real_signal():
 
     t = pa.table({"doc_id": pa.array([1], pa.int64()),
                   "audio": pa.array([data], pa.binary())})
-    out = AudioFeatureStage(fake=False)(t)  # real path, no gate
+    out = AudioFeatureStage()(t)
+    assert out["decode_status"].to_pylist() == ["envelope"]
     got = np.asarray(out["mfcc_mean"].to_pylist()[0], np.float32)
     assert np.allclose(got, v)
 

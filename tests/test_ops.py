@@ -146,28 +146,39 @@ def test_multimodal_plumbing(ray_session):
              "video": bytes([i, 2]) * 200} for i in range(20)]
     ds = ray.data.from_items(rows)
 
+    # no payload is in a decodable format: one row each, null features,
+    # status "unsupported" (an unknown leading byte names no decoder)
     img = decode_images(ds, concurrency=2).to_pandas()
-    assert list(img.columns) == ["doc_id", "width", "height", "channels", "embedding"]
-    assert len(img) == 20
-    assert all(len(e) == 32 for e in img["embedding"])
-    # deterministic: same content -> same decode
-    img2 = decode_images(ds, concurrency=2).to_pandas().sort_values("doc_id")
-    assert (img.sort_values("doc_id")["width"].values == img2["width"].values).all()
+    assert list(img.columns) == ["doc_id", "width", "height", "channels", "embedding",
+                                 "decode_status"]
+    assert sorted(img["doc_id"]) == list(range(20))
+    assert img[["width", "height", "channels", "embedding"]].isna().all().all()
+    assert set(img["decode_status"]) == {"unsupported"}
 
     au = audio_features(ds, concurrency=2).to_pandas()
-    assert len(au) == 20 and "mfcc_mean" in au.columns
+    assert list(au.columns) == ["doc_id", "duration_s", "sample_rate", "mfcc_mean",
+                                "decode_status"]
+    assert len(au) == 20 and au["mfcc_mean"].isna().all()
+    assert set(au["decode_status"]) == {"unsupported"}
 
     vf = sample_video_frames(ds, concurrency=2).to_pandas()
-    assert len(vf) >= 20  # >= 1 frame per video
-    assert set(vf.columns) == {"doc_id", "frame_no", "ts_s", "frame_embedding"}
+    assert sorted(vf["doc_id"]) == list(range(20))  # one row per failed video
+    assert set(vf.columns) == {"doc_id", "frame_no", "ts_s", "frame_embedding",
+                               "decode_status"}
+    assert vf["frame_embedding"].isna().all() and set(vf["decode_status"]) == {"unsupported"}
 
 
 def test_real_decode_path_raises():
+    """An undecodable image no longer raises: it gets one row with null
+    features and its decode_status (the name predates that contract)."""
     from marginalia_ray.ops.multimodal import ImageDecodeStage
 
     t = pa.table({"doc_id": [1], "image": pa.array([b"xx"], pa.binary())})
-    with pytest.raises(NotImplementedError):
-        ImageDecodeStage(fake=False)(t)
+    out = ImageDecodeStage()(t)
+    assert out.to_pylist() == [
+        {"doc_id": 1, "width": None, "height": None, "channels": None,
+         "embedding": None, "decode_status": "unsupported"}
+    ]
 
 
 def test_exact_dedup_counts_duplicates(ray_session):

@@ -61,36 +61,36 @@ class TestComputePhash:
 
 class TestPhashStage:
     def test_real_and_fake_paths(self, ray_session):
+        """A decodable image gets its real pHash; an opaque blob gets a null
+        phash with status unsupported, never a made-up hash."""
         import ray.data
 
-        from marginalia_ray.ops.multimodal import ImagePhashStage, image_phash
+        from marginalia_ray.ops.multimodal import compute_phash, image_phash
 
+        img = _ppm(_gradient())
         rows = [
-            {"doc_id": 1, "image": _ppm(_gradient())},
+            {"doc_id": 1, "image": img},
             {"doc_id": 2, "image": b"\x00\x01opaque-blob"},
         ]
         out = {
-            r["doc_id"]: r["phash"]
+            r["doc_id"]: (r["phash"], r["decode_status"])
             for r in image_phash(
                 ray.data.from_items(rows), concurrency=2, batch_size=2
             ).take_all()
         }
-        assert len(out) == 2
-        # fake path is deterministic: same payload -> same hash
-        stage = ImagePhashStage()
-        import pyarrow as pa
+        assert out == {1: (compute_phash(img), "ok"), 2: (None, "unsupported")}
 
-        t = pa.table({"doc_id": [2], "image": [rows[1]["image"]]})
-        assert stage(t)["phash"][0].as_py() == out[2]
-
-    def test_fake_false_raises(self, ray_session):
+    def test_fake_false_raises(self):
+        """The stage does not raise on an undecodable blob: the row keeps
+        its id with a null phash and status unsupported."""
         import pyarrow as pa
 
         from marginalia_ray.ops.multimodal import ImagePhashStage
 
-        stage = ImagePhashStage(fake=False)
-        with pytest.raises(NotImplementedError):
-            stage(pa.table({"doc_id": [1], "image": [b"blob"]}))
+        out = ImagePhashStage()(pa.table({"doc_id": [1], "image": [b"blob"]}))
+        assert out["doc_id"].to_pylist() == [1]
+        assert out["phash"].to_pylist() == [None]
+        assert out["decode_status"].to_pylist() == ["unsupported"]
 
 
 class TestPhashPairs:
@@ -105,6 +105,9 @@ class TestPhashPairs:
             {"doc_id": 3, "image": _ppm(_texture(1))},  # far away
             # brightness-shifted twin of doc 1: hamming 0 by invariance
             {"doc_id": 4, "image": _ppm(np.clip(_texture(0).astype(np.int64) + 2, 0, 255).astype(np.uint8))},
+            # the same undecodable blob twice: no phash, so no pair
+            {"doc_id": 5, "image": b"\x00\x01opaque-blob"},
+            {"doc_id": 6, "image": b"\x00\x01opaque-blob"},
         ]
         out = phash_pairs(ray.data.from_items(rows), max_hamming=3).take_all()
         pairs = {(r["doc_a"], r["doc_b"]): r["hamming"] for r in out}
