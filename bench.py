@@ -21,7 +21,8 @@ import tempfile
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+# the CPUs this process may run on, unless RAY_GRAFT_CPUS says otherwise
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 
 # pages corpus size for the index-build headline (rows); sized so the
 # tokenizer stage dominates and the run finishes in tens of seconds

@@ -244,16 +244,21 @@ def rank_encode_id(combined, rank):
 DEFAULT_DOMAIN_RANK = 255
 
 
-def popcount(arr):
-    """Vectorized 64-bit popcount for numpy uint64 arrays (np.bit_count is
-    available on integer arrays in numpy>=2; fall back to manual)."""
-    a = np.asarray(arr, dtype=U64)
-    try:
-        return np.bitwise_count(a).astype(np.int64)
-    except AttributeError:  # numpy < 2.0: SWAR popcount, 5 vector ops
-        with np.errstate(over="ignore"):  # the *0x0101.. wrap is the point
-            x = a.copy()
-            x -= (x >> U64(1)) & U64(0x5555555555555555)
-            x = (x & U64(0x3333333333333333)) + ((x >> U64(2)) & U64(0x3333333333333333))
-            x = (x + (x >> U64(4))) & U64(0x0F0F0F0F0F0F0F0F)
-            return ((x * U64(0x0101010101010101)) >> U64(56)).astype(np.int64)
+def _popcount_native(arr):
+    """Vectorized 64-bit popcount of a uint64 array (np.bitwise_count,
+    numpy>=2)."""
+    return np.bitwise_count(np.asarray(arr, dtype=U64)).astype(np.int64)
+
+
+def _popcount_swar(arr):
+    """The same without np.bitwise_count: SWAR popcount, 5 vector ops."""
+    with np.errstate(over="ignore"):  # the *0x0101.. wrap is the point
+        x = np.array(arr, dtype=U64)
+        x -= (x >> U64(1)) & U64(0x5555555555555555)
+        x = (x & U64(0x3333333333333333)) + ((x >> U64(2)) & U64(0x3333333333333333))
+        x = (x + (x >> U64(4))) & U64(0x0F0F0F0F0F0F0F0F)
+        return ((x * U64(0x0101010101010101)) >> U64(56)).astype(np.int64)
+
+
+# chosen once at import: numpy < 2.0 has no np.bitwise_count
+popcount = _popcount_native if hasattr(np, "bitwise_count") else _popcount_swar

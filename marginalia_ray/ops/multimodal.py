@@ -18,15 +18,16 @@ Decode support, container-native (no external codec libraries):
     frame sampling at ~fps_sample with a real per-frame content
     embedding; inter-frame codecs (H.264/VP9) are not decoded.
 
-Every stage adds a string column ``decode_status`` with one of four values:
+Every stage adds a string column ``decode_status`` with one of five values:
 ``ok`` (a native decoder read the payload), ``envelope`` (audio only: the
 MPEG frame-header walk filled ``mfcc_mean`` with the bitrate envelope),
 ``unsupported`` (no decoder here handles the format or variant: unknown
 magic bytes, progressive JPEG, 24-bit PCM, H.264 AVI, ...; the decoder
-raised UnsupportedFormat) or ``corrupt`` (a decoder recognised the format
-but the data failed to decode: any other ValueError).  A payload that does
-not decode gives one row with its id, every feature column null and its
-status; a failed payload never kills the task.  MPEG audio:
+raised UnsupportedFormat), ``corrupt`` (a decoder recognised the format
+but the data failed to decode: any other ValueError) or ``missing`` (the
+payload is null).  A payload that does not decode gives one row with its
+id, every feature column null and its status; a failed payload never
+kills the task.  MPEG audio:
 **Layer II payloads decode for real** (ops/mp2.py — full Annex B
 bitstream walk, dequantization, polyphase synthesis; round-trip
 validated) and feed true spectral MFCCs with NO gate.  Layer III (MP3)
@@ -65,23 +66,29 @@ class UnsupportedFormat(ValueError):
     Any other ValueError from a decoder means the payload is corrupt."""
 
 
-def _failure_status(ex: ValueError) -> str:
-    return "unsupported" if isinstance(ex, UnsupportedFormat) else "corrupt"
+def _try_decode(decode, p):
+    """``decode(p) -> (status, *features)`` as (status, features), or
+    (status, None) for a null payload (``missing``) or a ValueError (the
+    status of its class)."""
+    if p is None:
+        return "missing", None
+    try:
+        st, *feats = decode(p)
+    except ValueError as ex:
+        return ("unsupported" if isinstance(ex, UnsupportedFormat) else "corrupt"), None
+    return st, feats
 
 
 def _decode_columns(payloads, decode, n_features: int):
-    """Run ``decode(payload) -> (status, *features)`` over the payloads.
-    A ValueError gives null features and the status of its class.
-    Returns (one list per feature, status list)."""
+    """Run ``decode`` over the payloads (see _try_decode); a payload that
+    does not decode gives null features.  Returns (one list per feature,
+    status list)."""
     cols: list[list] = [[] for _ in range(n_features)]
     status = []
     for p in payloads:
-        try:
-            st, *feats = decode(p)
-        except ValueError as ex:
-            st, feats = _failure_status(ex), [None] * n_features
+        st, feats = _try_decode(decode, p)
         status.append(st)
-        for col, v in zip(cols, feats):
+        for col, v in zip(cols, feats or [None] * n_features):
             col.append(v)
     return cols, status
 
@@ -913,8 +920,8 @@ class VideoFrameSampleStage:
     sampling at ~fps_sample and a real content embedding per frame
     (status ``ok``).  A payload that does not decode gives ONE row with
     null frame columns and status ``unsupported`` (other containers,
-    inter-frame codecs such as H.264/VP9) or ``corrupt`` (a damaged
-    container or frame)."""
+    inter-frame codecs such as H.264/VP9), ``corrupt`` (a damaged
+    container or frame) or ``missing`` (a null payload)."""
 
     def __init__(self, fps_sample: float = 0.2, max_frames: int = 8,
                  embed_dim: int = 32, payload_col: str = "video",
@@ -949,10 +956,8 @@ class VideoFrameSampleStage:
         ids = batch[self.id_col].to_pylist()
         out_id, out_fno, out_ts, out_emb, out_status = [], [], [], [], []
         for i, p in zip(ids, payloads):
-            try:
-                rows, status = self._frames(p), "ok"
-            except ValueError as ex:
-                rows, status = [(None, None, None)], _failure_status(ex)
+            status, feats = _try_decode(lambda p: ("ok", self._frames(p)), p)
+            rows = feats[0] if feats else [(None, None, None)]
             for fno, ts, emb in rows:
                 out_id.append(i)
                 out_fno.append(fno)

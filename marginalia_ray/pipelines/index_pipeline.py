@@ -6,7 +6,7 @@ construction (SURVEY.md §3.1-3.3):
     read_parquet(pages, columns pruned)
       -> map_batches(TokenizerStage, concurrency=N)    # actor pool, A1/A2
       -> journal parquet (checkpoint boundary, resumable)
-      -> build_index (one groupby shuffle -> immutable segments)
+      -> build_index (one grouping by term shard -> immutable segments)
 
 The journal write between the converter and the index build mirrors the
 reference's converter/loader file boundary and is what makes the build
@@ -259,9 +259,11 @@ def run_index_pipeline(
                "top_words", "canonical", "body_hash"],
         )
         journal = apply_domain_stage(journal).filter(expr="state == 'OK'")
-        # materialize the slim journal once: build_index consumes it four
-        # times (count, boundary sample, forward pass, explode pass) and
-        # would otherwise re-run the whole domain-stage shuffle each time
+        # materialize the slim journal once: build_index reads it more than
+        # once (a count, then one pull into this process for a journal that
+        # fits in one run; a count, the bucket sizing passes, the forward
+        # pass and the explode pass for a larger one) and would otherwise
+        # re-run the whole domain-stage shuffle each time
         journal = journal.select_columns(JOURNAL_COLS).materialize()
     else:
         journal = ray.data.read_parquet(str(journal_dir), columns=JOURNAL_COLS)

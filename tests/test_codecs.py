@@ -115,6 +115,24 @@ class TestDocIds:
         np.testing.assert_array_equal(C.domain_id_of(enc), [255, 3])
 
 
+class TestPopcount:
+    def test_bodies_agree_on_random_uint64(self):
+        """Both popcount bodies (the one np.bitwise_count lacks on this
+        numpy is compared when present) match a bit-unpacking count, and
+        `popcount` is the body chosen at import."""
+        rng = np.random.default_rng(11)
+        a = rng.integers(0, 2**64, size=(64, 257), dtype=np.uint64, endpoint=False)
+        a[0, :4] = [0, 1, 2**63, 2**64 - 1]
+        ref = np.unpackbits(a.view(np.uint8), axis=-1).reshape(64, 257, 64).sum(-1)
+        np.testing.assert_array_equal(C._popcount_swar(a), ref)
+        if hasattr(np, "bitwise_count"):
+            np.testing.assert_array_equal(C._popcount_native(a), ref)
+            assert C.popcount is C._popcount_native
+        else:
+            assert C.popcount is C._popcount_swar
+        assert C.popcount(a).dtype == np.int64
+
+
 class TestMurmur3:
     def test_known_vectors(self):
         # widely-published x64_128 seed-0 vectors (mmh3 / Guava / smhasher),

@@ -244,36 +244,41 @@ class TestOverwriteMerge:
         assert m3["merged_from"][1] == read_manifest(new2)["build_id"]
         assert m3["runs"] == m1["runs"]
 
-    def test_chained_overwrites_equal_fresh_builds(self, ray_session, tmp_path):
+    def test_chained_overwrites_equal_fresh_builds(self, ray_session, tmp_path, build_paths):
         """Six re-crawl cycles, each replacing some live urls and adding
         some new ones: every result equals a fresh build of the journal it
-        should hold, and the forward part count never grows."""
+        should hold, and the forward part count never grows.  On both
+        grouping paths: the shuffle writes a forward part per block, the
+        local path one part."""
         j = make_factors_journal()
         urls = (j["doc_id"].to_numpy() & np.uint64(0xFFFFFFFF)).astype(np.int64)
-        expect = j.filter(pa.array(urls % 4 != 3))
-        # several blocks, so each build writes several forward parts
-        live = tmp_path / "live0"
-        build_index(ray.data.from_arrow([expect.slice(k, 100) for k in range(0, expect.num_rows, 100)]),
-                    live, n_shards=4, n_buckets=2)
-        n_parts = len(list((live / "forward").glob("*.parquet")))
-        assert n_parts > 1
-        for c in range(6):
-            recrawled = _remeta(_filter_journal(j, lambda u: u % 6 == c), year=c + 1, sets=1, quality=c % 4)
-            new = tmp_path / f"new{c}"
-            half = recrawled.num_rows // 2
-            build_index(ray.data.from_arrow([recrawled.slice(0, half), recrawled.slice(half)]),
-                        new, n_shards=4, n_buckets=1 + c % 3)
-            out = tmp_path / f"live{c + 1}"
-            m = overwrite_merge(live, new, out)
-            expect = pa.concat_tables(
-                [_filter_journal(expect, lambda u: u % 6 != c), recrawled]
-            )
-            fresh = tmp_path / f"fresh{c}"
-            build_index(ray.data.from_arrow(expect), fresh, n_shards=4, n_buckets=2)
-            _assert_same_index(out, fresh)
-            assert m["doc_count"] == expect.num_rows
-            assert len(list((out / "forward").glob("*.parquet"))) == n_parts
-            live = out
+        for grouping in build_paths():
+            root = tmp_path / grouping
+            expect = j.filter(pa.array(urls % 4 != 3))
+            # several blocks, so a shuffle build writes several forward parts
+            live = root / "live0"
+            build_index(ray.data.from_arrow([expect.slice(k, 100) for k in range(0, expect.num_rows, 100)]),
+                        live, n_shards=4, n_buckets=2)
+            n_parts = len(list((live / "forward").glob("*.parquet")))
+            assert (n_parts == 1) if grouping == "local" else (n_parts > 1)
+            for c in range(6):
+                recrawled = _remeta(_filter_journal(j, lambda u: u % 6 == c), year=c + 1, sets=1, quality=c % 4)
+                new = root / f"new{c}"
+                half = recrawled.num_rows // 2
+                m_new = build_index(ray.data.from_arrow([recrawled.slice(0, half), recrawled.slice(half)]),
+                                    new, n_shards=4, n_buckets=1 + c % 3)
+                assert m_new["grouping"] == grouping
+                out = root / f"live{c + 1}"
+                m = overwrite_merge(live, new, out)
+                expect = pa.concat_tables(
+                    [_filter_journal(expect, lambda u: u % 6 != c), recrawled]
+                )
+                fresh = root / f"fresh{c}"
+                build_index(ray.data.from_arrow(expect), fresh, n_shards=4, n_buckets=2)
+                _assert_same_index(out, fresh)
+                assert m["doc_count"] == expect.num_rows
+                assert len(list((out / "forward").glob("*.parquet"))) == n_parts
+                live = out
 
     def test_empty_tombstones_is_identity_copy(self, ray_session, tmp_path_factory):
         j = make_factors_journal()

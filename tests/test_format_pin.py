@@ -44,29 +44,64 @@ def _digest(root: Path) -> str:
     return h.hexdigest()
 
 
-def test_run_files_bytes_pinned(ray_session, tmp_path):
+def _pinned_build_merge_delete(root: Path) -> list[dict]:
+    """The first pin's rewrites; returns the two build manifests."""
     j = make_factors_journal()  # term "1" holds 511 postings: 4 blocks
     halves = [
         j.filter(pa.array([r % 2 == k for r in range(j.num_rows)])) for k in (0, 1)
     ]
-    for k, part in enumerate(halves):
-        build_index(ray.data.from_arrow(part), tmp_path / f"b{k}", n_shards=2, n_buckets=2)
-    merge_builds([tmp_path / "b0", tmp_path / "b1"], tmp_path / "merged")
-    delete_docs(tmp_path / "merged", tmp_path / "deleted", [i for i in range(1, 512) if i % 7 == 0])
-    assert _digest(tmp_path) == PINNED_SHA256
+    manifests = [
+        build_index(ray.data.from_arrow(part), root / f"b{k}", n_shards=2, n_buckets=2)
+        for k, part in enumerate(halves)
+    ]
+    merge_builds([root / "b0", root / "b1"], root / "merged")
+    delete_docs(root / "merged", root / "deleted", [i for i in range(1, 512) if i % 7 == 0])
+    return manifests
 
 
-def test_overwrite_bytes_pinned(ray_session, tmp_path):
+def test_run_files_bytes_pinned(ray_session, tmp_path, build_paths):
+    for grouping in build_paths():
+        root = tmp_path / grouping
+        manifests = _pinned_build_merge_delete(root)
+        assert {m["grouping"] for m in manifests} == {grouping}
+        assert _digest(root) == PINNED_SHA256, grouping
+
+
+def test_overwrite_bytes_pinned(ray_session, tmp_path, build_paths):
     from marginalia_ray.index.delete import overwrite_merge
     from marginalia_ray.model.codecs import encode_doc_meta
 
     j = make_factors_journal()
-    build_index(ray.data.from_arrow(j), tmp_path / "old", n_shards=4, n_buckets=2)
     # re-crawl every url % 5 == 0 with a new doc_meta
     urls = j["doc_id"].to_numpy() & 0xFFFFFFFF
     recrawl = j.filter(pa.array(urls % 5 == 0))
     meta = pa.array([encode_doc_meta(year=4, sets=1, quality=3)] * recrawl.num_rows, pa.uint64())
     recrawl = recrawl.set_column(recrawl.schema.get_field_index("doc_meta"), "doc_meta", meta)
-    build_index(ray.data.from_arrow(recrawl), tmp_path / "new", n_shards=4, n_buckets=2)
-    overwrite_merge(tmp_path / "old", tmp_path / "new", tmp_path / "out")
-    assert _digest(tmp_path / "out") == OVERWRITE_SHA256
+    for grouping in build_paths():
+        root = tmp_path / grouping
+        m_old = build_index(ray.data.from_arrow(j), root / "old", n_shards=4, n_buckets=2)
+        m_new = build_index(ray.data.from_arrow(recrawl), root / "new", n_shards=4, n_buckets=2)
+        assert {m_old["grouping"], m_new["grouping"]} == {grouping}
+        overwrite_merge(root / "old", root / "new", root / "out")
+        assert _digest(root / "out") == OVERWRITE_SHA256, grouping
+
+
+def test_posting_bound_falls_back_to_shuffle(ray_session, tmp_path, monkeypatch):
+    """A journal under the doc gate but over the posting bound builds by
+    the shuffle from the blocks already pulled (no second read of the
+    journal), with the pinned bytes."""
+    from marginalia_ray.index import build
+
+    handed = []
+    from_refs = ray.data.from_arrow_refs
+
+    def spy(refs):
+        handed.append(len(refs))
+        return from_refs(refs)
+
+    monkeypatch.setattr(ray.data, "from_arrow_refs", spy)
+    monkeypatch.setattr(build, "TARGET_RUN_POSTINGS", 100)  # each half has ~1.6 k
+    manifests = _pinned_build_merge_delete(tmp_path)
+    assert [m["grouping"] for m in manifests] == ["shuffle", "shuffle"]
+    assert len(handed) == 2 and min(handed) >= 1
+    assert _digest(tmp_path) == PINNED_SHA256

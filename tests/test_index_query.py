@@ -111,48 +111,53 @@ class TestFactorsCorpusParity:
 
 
 class TestBuildDeterminism:
-    def test_bucketed_build_identical(self, ray_session, tmp_path_factory):
+    def test_bucketed_build_identical(self, ray_session, tmp_path_factory, build_paths):
         """Salted (bucketed) build produces identical per-term posting lists
         and identical query results vs the single-bucket build (the merge-
-        determinism gate of FIXTURES.md F3)."""
-        d1 = tmp_path_factory.mktemp("det1")
-        d4 = tmp_path_factory.mktemp("det4")
-        journal = ray.data.from_arrow(make_journal())
-        build_index(journal, d1, n_shards=4, n_buckets=1)
-        journal2 = ray.data.from_arrow(make_journal())
-        build_index(journal2, d4, n_shards=4, n_buckets=4)
+        determinism gate of FIXTURES.md F3), on both grouping paths."""
+        for grouping in build_paths():
+            d1 = tmp_path_factory.mktemp("det1")
+            d4 = tmp_path_factory.mktemp("det4")
+            journal = ray.data.from_arrow(make_journal())
+            build_index(journal, d1, n_shards=4, n_buckets=1)
+            journal2 = ray.data.from_arrow(make_journal())
+            built = build_index(journal2, d4, n_shards=4, n_buckets=4)
+            assert built["grouping"] == grouping
 
-        # the salt must actually split: multiple bucket=* run files per shard
-        # (guards against the bucket fn silently mapping everything to 0)
-        bucket_files = {
-            p.name for p in (d4 / "full").glob("shard=*/bucket=*.terms.parquet")
-        }
-        assert len(bucket_files) >= 2, bucket_files
+            # the salt must actually split: multiple bucket=* run files per shard
+            # (guards against the bucket fn silently mapping everything to 0)
+            bucket_files = {
+                p.name for p in (d4 / "full").glob("shard=*/bucket=*.terms.parquet")
+            }
+            assert len(bucket_files) >= 2, bucket_files
 
-        s1, s4 = IndexSearcher(d1), IndexSearcher(d4)
-        for t in ["1", "2", "3", "17", "100", "509"]:
-            ids1, m1 = s1.postings("full", term_hash(t))
-            ids4, m4 = s4.postings("full", term_hash(t))
-            np.testing.assert_array_equal(ids1, ids4)
-            np.testing.assert_array_equal(m1, m4)
+            s1, s4 = IndexSearcher(d1), IndexSearcher(d4)
+            for t in ["1", "2", "3", "17", "100", "509"]:
+                ids1, m1 = s1.postings("full", term_hash(t))
+                ids4, m4 = s4.postings("full", term_hash(t))
+                np.testing.assert_array_equal(ids1, ids4)
+                np.testing.assert_array_equal(m1, m4)
 
-        spec = SearchSpec(subqueries=[Subquery(include=["3", "5", "2"], exclude=["4"])])
-        assert [r.url_id for r in s1.search(spec)] == [r.url_id for r in s4.search(spec)]
+            spec = SearchSpec(subqueries=[Subquery(include=["3", "5", "2"], exclude=["4"])])
+            assert [r.url_id for r in s1.search(spec)] == [r.url_id for r in s4.search(spec)]
 
-    def test_non_power_of_two_buckets(self, ray_session, tmp_path_factory):
+    def test_non_power_of_two_buckets(self, ray_session, tmp_path_factory, build_paths):
         """n_buckets=3 (quantile boundaries need no power-of-two) keeps
-        per-term lists sorted and identical to the single-bucket build."""
-        d1 = tmp_path_factory.mktemp("npt1")
-        d3 = tmp_path_factory.mktemp("npt3")
-        build_index(ray.data.from_arrow(make_journal()), d1, n_shards=4, n_buckets=1)
-        build_index(ray.data.from_arrow(make_journal()), d3, n_shards=4, n_buckets=3)
-        s1, s3 = IndexSearcher(d1), IndexSearcher(d3)
-        for t in ["1", "2", "3", "251"]:
-            ids1, m1 = s1.postings("full", term_hash(t))
-            ids3, m3 = s3.postings("full", term_hash(t))
-            assert (np.diff(ids3.astype(np.int64)) > 0).all()
-            np.testing.assert_array_equal(ids1, ids3)
-            np.testing.assert_array_equal(m1, m3)
+        per-term lists sorted and identical to the single-bucket build, on
+        both grouping paths."""
+        for grouping in build_paths():
+            d1 = tmp_path_factory.mktemp("npt1")
+            d3 = tmp_path_factory.mktemp("npt3")
+            build_index(ray.data.from_arrow(make_journal()), d1, n_shards=4, n_buckets=1)
+            built = build_index(ray.data.from_arrow(make_journal()), d3, n_shards=4, n_buckets=3)
+            assert built["grouping"] == grouping
+            s1, s3 = IndexSearcher(d1), IndexSearcher(d3)
+            for t in ["1", "2", "3", "251"]:
+                ids1, m1 = s1.postings("full", term_hash(t))
+                ids3, m3 = s3.postings("full", term_hash(t))
+                assert (np.diff(ids3.astype(np.int64)) > 0).all()
+                np.testing.assert_array_equal(ids1, ids3)
+                np.testing.assert_array_equal(m1, m3)
 
     def test_rebuild_into_same_dir_is_clean(self, ray_session, tmp_path_factory):
         """Re-running build_index into an existing build_dir must not
@@ -165,20 +170,84 @@ class TestBuildDeterminism:
         ids, _ = s.postings("full", term_hash("2"))
         assert len(ids) == 255  # not doubled, no stale bucket files
 
-    def test_partitioning_invariance(self, ray_session, tmp_path_factory):
-        """Build with different input block structure => identical segments."""
-        da = tmp_path_factory.mktemp("parta")
-        db = tmp_path_factory.mktemp("partb")
+    def test_partitioning_invariance(self, ray_session, tmp_path_factory, build_paths):
+        """Build with different input block structure => identical segments,
+        on both grouping paths."""
         t = make_journal()
-        build_index(ray.data.from_arrow(t), da, n_shards=4)
-        build_index(ray.data.from_arrow(t).repartition(7), db, n_shards=4)
-        sa, sb = IndexSearcher(da), IndexSearcher(db)
-        for term in ["2", "3", "251"]:
-            ia, ma = sa.postings("full", term_hash(term))
-            ib, mb = sb.postings("full", term_hash(term))
-            np.testing.assert_array_equal(ia, ib)
-            np.testing.assert_array_equal(ma, mb)
+        for grouping in build_paths():
+            da = tmp_path_factory.mktemp("parta")
+            db = tmp_path_factory.mktemp("partb")
+            build_index(ray.data.from_arrow(t), da, n_shards=4)
+            built = build_index(ray.data.from_arrow(t).repartition(7), db, n_shards=4)
+            assert built["grouping"] == grouping
+            sa, sb = IndexSearcher(da), IndexSearcher(db)
+            for term in ["2", "3", "251"]:
+                ia, ma = sa.postings("full", term_hash(term))
+                ib, mb = sb.postings("full", term_hash(term))
+                np.testing.assert_array_equal(ia, ib)
+                np.testing.assert_array_equal(ma, mb)
 
+
+
+class TestGroupingPaths:
+    """build_index groups a journal that fits in one run in the calling
+    process and a larger one by the Ray Data shuffle; both write the same
+    runs."""
+
+    def test_small_journal_builds_locally(self, ray_session, tmp_path):
+        import pyarrow.compute as pc
+
+        from marginalia_ray.index.segment import read_manifest
+
+        t = make_journal()
+        m = build_index(ray.data.from_arrow([t.slice(0, 200), t.slice(200)]), tmp_path, n_shards=4)
+        assert m["grouping"] == "local"
+        assert m["n_postings"] == pc.sum(pc.list_value_length(t["term_hashes"])).as_py()
+        assert m["n_postings"] == sum(r["n_postings"] for r in m["runs"] if r["kind"] == "full")
+        assert read_manifest(tmp_path)["grouping"] == "local"
+        # one forward part, whatever the block count
+        assert len(list((tmp_path / "forward").glob("*.parquet"))) == 1
+
+    @pytest.mark.parametrize("n_buckets", [1, 2, 3])
+    def test_paths_write_identical_runs(self, ray_session, tmp_path, build_paths, n_buckets):
+        """Same run bytes, lineage rows, boundaries and forward rows (sorted
+        by url id: the shuffle writes one part per block) on both paths,
+        with domain rankings in the doc ids."""
+        import hashlib
+
+        import pyarrow.parquet as pq
+
+        from marginalia_ray.model.codecs import domain_id_of
+
+        t = make_journal(with_domain=True)
+        domains = np.unique(domain_id_of(t["doc_id"].to_numpy().astype(np.uint64)))
+        rankings = {int(d): int(d) * 37 % 200 for d in domains}
+        out = {}
+        for grouping in build_paths():
+            d = tmp_path / grouping
+            blocks = [t.slice(k, 100) for k in range(0, t.num_rows, 100)]
+            m = build_index(ray.data.from_arrow(blocks), d, n_shards=4,
+                            n_buckets=n_buckets, domain_rankings=rankings)
+            assert m["grouping"] == grouping
+            runs = {
+                str(p.relative_to(d)): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(d.rglob("*.postings.bin"))
+            }
+            terms = {
+                str(p.relative_to(d)): pq.read_table(p).to_pydict()
+                for p in sorted(d.rglob("*.terms.parquet"))
+            }
+            fwd = pa.concat_tables(
+                [pq.read_table(f) for f in sorted((d / "forward").glob("*.parquet"))]
+            ).sort_by("url_id")
+            keys = ("doc_count", "n_buckets", "bucket_boundaries", "n_postings", "runs")
+            out[grouping] = (runs, terms, fwd, {k: m[k] for k in keys})
+        (rl, tl, fl, ml), (rs, ts, fs, ms) = out["local"], out["shuffle"]
+        assert len(rl) == 2 * 4 * ml["n_buckets"] and ml["n_buckets"] == n_buckets
+        assert rl == rs
+        assert tl == ts
+        assert fl.equals(fs)
+        assert ml == ms
 
 class TestAutoBuckets:
     def test_sketch_and_auto_bucket_choice(self, ray_session):

@@ -876,3 +876,39 @@ def test_mp3_envelope_declared_only_keeps_rate():
     assert abs(dur - declared * 1152 / 44100) < 1e-9
     dur2, rate2, _ = mp3_stream_info(data)
     assert rate2 == rate and abs(dur2 - dur) < 1e-9
+
+
+def _null_payload_cases():
+    from marginalia_ray.ops.multimodal import (
+        ImagePhashStage,
+        ImageResizeStage,
+        VideoFrameSampleStage,
+    )
+
+    rng = np.random.RandomState(5)
+    png = make_png(rng.randint(0, 256, size=(12, 17, 3), dtype=np.uint8))
+    avi = _encode_avi([rng.randint(0, 256, (8, 8, 3), dtype=np.uint8) for _ in range(3)])
+    return {
+        "image_decode": (ImageDecodeStage, "image", png, ["width", "height", "channels", "embedding"]),
+        "audio": (AudioFeatureStage, "audio", make_wav(), ["duration_s", "sample_rate", "mfcc_mean"]),
+        "image_resize": (ImageResizeStage, "image", png, ["width", "height", "channels", "pixels"]),
+        "image_phash": (ImagePhashStage, "image", png, ["phash"]),
+        "video": (VideoFrameSampleStage, "video", avi, ["frame_no", "ts_s", "frame_embedding"]),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["image_decode", "audio", "image_resize", "image_phash", "video"]
+)
+def test_null_payload_gives_missing_row(case):
+    """A null payload next to a good one: one row with null features and
+    status ``missing``; the good payload still decodes (``ok``)."""
+    stage_cls, col, good, features = _null_payload_cases()[case]
+    t = pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                  col: pa.array([None, good], pa.binary())})
+    out = stage_cls()(t)
+    rows = out.to_pylist()
+    assert rows[0]["doc_id"] == 1 and rows[0]["decode_status"] == "missing"
+    assert all(rows[0][f] is None for f in features)
+    assert [r["doc_id"] for r in rows if r["doc_id"] == 1] == [1]
+    assert {r["decode_status"] for r in rows[1:]} == {"ok"}
