@@ -194,7 +194,16 @@ class SegmentShardReader:
         return np.zeros(0, dtype=U64), (np.zeros(0, dtype=U64) if self.has_meta else None)
 
     def doc_freq(self, term_hash: int) -> int:
-        return sum(int(d["doc_freq"][i]) for d, _, i in self._find(term_hash))
+        """Postings of the term summed over buckets: one searchsorted per
+        bucket's terms directory."""
+        th = U64(term_hash)
+        n = 0
+        for _, directory, _ in self._buckets:
+            hashes = directory["hash"]
+            i = hashes.searchsorted(th)
+            if i < len(hashes) and hashes[i] == th:
+                n += int(directory["doc_freq"][i])
+        return n
 
     def postings(self, term_hash: int) -> tuple[np.ndarray, np.ndarray | None]:
         """(sorted doc_ids, metas or None) for a term, concatenated over buckets."""

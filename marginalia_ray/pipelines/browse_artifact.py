@@ -22,6 +22,9 @@ fmix64(key) % n_buckets`` so a probe prunes to one directory):
                 known_urls, visited_urls, good_urls, rank, n_in, n_out,
                 in_crawl_queue, blacklisted, linking_domains)
   name_index/  bucket(name hash)  (domain_name, domain_id)
+  screenshots/ bucket(domain_id)  domains with a screenshot; only when the
+               build is given screenshot data — without it,
+               ``similar_domains`` raises ``NoScreenshotData``
 
 The consolidation joins degrees, metadata, flags and the per-domain
 smallest-25 linking-domain string (EC_RELATED_LINKS_VIEW ... ORDER BY
@@ -700,6 +703,10 @@ def build_browse_from_journal(
                  ordering)
       neighbors  domain_adjacencies over the link graph, relatedness-
                  ranked into ADJ_IDX
+
+    The journal carries no screenshot data, so the artifact has no
+    screenshots table and its ``similar_domains`` raises
+    ``NoScreenshotData``.
     """
     import ray.data
 
@@ -824,6 +831,14 @@ def build_browse_from_journal(
     )
 
 
+class NoScreenshotData(LookupError):
+    """The artifact has no ``screenshots`` table: it was built without
+    screenshot data (``build_browse_from_journal`` — the converter journal
+    carries none — or ``build_browse_artifact(screenshots=None)``), so
+    ``similar_domains``, which keeps only neighbors with a screenshot,
+    cannot answer."""
+
+
 def _similar_domains_method(self, probes, *, count: int = 25, blacklist=()):
     """DbBrowseDomainsSimilarCosine served from the artifact: per probe,
     read ONLY the probe's neighbors bucket (relatedness column required —
@@ -831,9 +846,16 @@ def _similar_domains_method(self, probes, *, count: int = 25, blacklist=()):
     restrict to neighbors with a screenshot (screenshots buckets),
     blacklist-filter before the count cap, top-``count`` by
     (ROUND(100*cosine) desc, neighbor_id asc), names from domain_meta.
-    Row-identical to ops.browse.similar_domains."""
+    Row-identical to ops.browse.similar_domains.  Raises
+    ``NoScreenshotData`` on an artifact built without screenshots."""
     from marginalia_ray.ops.browse import _pct_int
 
+    if not (self.root / "screenshots").is_dir():
+        raise NoScreenshotData(
+            f"{self.root} has no screenshots table; similar_domains keeps "
+            "only neighbors with a screenshot, so it needs an artifact "
+            "built with screenshot data"
+        )
     pr = np.unique(np.asarray(list(probes), np.int64))
     bl = np.asarray(list(blacklist), np.int64)
     empty = pa.table(
@@ -871,13 +893,9 @@ def _similar_domains_method(self, probes, *, count: int = 25, blacklist=()):
         parts = []
         for b in np.unique(sb):
             want = nids[sb == b]
-            try:
-                t = self._table(
-                    "screenshots", int(b),
-                    pads.field("domain_id").isin(want.tolist()),
-                )
-            except FileNotFoundError:
-                return empty
+            t = self._table(
+                "screenshots", int(b), pads.field("domain_id").isin(want.tolist())
+            )
             parts.append(t["domain_id"].cast(pa.int64()).to_numpy(zero_copy_only=False))
         shot = np.unique(np.concatenate(parts)) if parts else shot
     keep = np.isin(nid, shot)

@@ -20,10 +20,22 @@ Candidate retrieval is vectorized: posting lists are sorted uint64 arrays;
 retain (J3) = sorted intersection via np.searchsorted (galloping
 equivalent); reject (J4) = sorted difference.  Scoring runs as one numpy
 pass over all candidates (the reference scores with a parallel stream).
+
+Lookups per query:
+  - Doc frequencies: while one `search_query` (or a direct `search`) runs,
+    each distinct (kind, term hash) is looked up in the shard's terms
+    directory once and kept in a table that lives only for that call
+    (`_query_scope`); parsing, variant expansion, term resolution,
+    query-head ordering, the skip-decode choice and the valuator all read
+    it.  Nothing is kept across queries.
+  - The forward-index param filter runs only when the spec constrains
+    something (domains, a search set, or a `SpecLimit` other than NONE),
+    and then tests only the limits that are set.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -118,6 +130,15 @@ class SearchResult:
     results_from_domain: int = 0
 
 
+# ParamMatchingQueryFilter's doc-meta limits: (SearchSpec field, extractor)
+_DOC_META_LIMITS = (
+    ("quality", lambda metas: doc_meta_quality(metas).astype(np.int64)),
+    ("year", doc_meta_year),
+    ("size", doc_meta_size),
+    ("rank", lambda metas: doc_meta_rank(metas).astype(np.int64)),
+)
+
+
 def _intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Keep elements of `a` present in sorted array `b` (retain / semi-join)."""
     if len(a) == 0 or len(b) == 0:
@@ -161,6 +182,8 @@ class IndexSearcher:
         self._full: dict[int, SegmentShardReader] = {}
         self._prio: dict[int, SegmentShardReader] = {}
         self._postings_cache: dict[tuple[str, int], tuple] = {}
+        # (kind, term hash) -> doc frequency, only while a query runs
+        self._query_dfs: dict[tuple[str, int], int] | None = None
         # A5: TermFrequencyDict for the query frontend — written by
         # run_index_pipeline(with_term_freq=True) next to the index root
         # (corpus-level, shared across builds like the journal).  Sorted
@@ -208,28 +231,61 @@ class IndexSearcher:
         meta-gather against sorted candidates `cand`: the full (cached)
         list when it is short, else a block-max skip subset
         (SegmentShardReader.postings_overlap) that decodes only the blocks
-        candidates can land in — the WAND-style skip path for hot terms."""
+        candidates can land in — the WAND-style skip path for hot terms.
+        The choice reads the term's doc frequency from the running query's
+        lookup table, so it costs no second terms-directory search."""
         key = (kind, th)
         if key in self._postings_cache:
             return self._postings_cache[key]
-        df = self.num_hits(th) if kind == "full" else self.num_hits_prio(th)
+        df = self._doc_freq(kind, th)
         if df <= 1024 or df <= self.SKIP_DECODE_FACTOR * len(cand):
             return self.postings(kind, th)
         return self._shard(kind, th).postings_overlap(th, cand)
 
     def num_hits(self, th: int) -> int:
-        return self._shard("full", th).doc_freq(th)
+        """Full-index doc frequency of term `th`.  Inside a query it is read
+        from, or added to, that query's lookup table (`_query_scope`), so
+        each term's terms directory is searched once per query."""
+        return self._doc_freq("full", th)
 
     def num_hits_prio(self, th: int) -> int:
-        return self._shard("prio", th).doc_freq(th)
+        """Priority-index doc frequency of term `th`; see `num_hits`."""
+        return self._doc_freq("prio", th)
+
+    def _doc_freq(self, kind: str, th: int) -> int:
+        dfs = self._query_dfs
+        if dfs is None:
+            return self._shard(kind, th).doc_freq(th)
+        key = (kind, th)
+        df = dfs.get(key)
+        if df is None:
+            df = dfs[key] = self._shard(kind, th).doc_freq(th)
+        return df
+
+    @contextlib.contextmanager
+    def _query_scope(self):
+        """Hold a per-query doc-frequency table for the duration of the
+        block; a nested scope (search inside search_query) shares the
+        outer one, and the outermost drops it on exit.  Entries are a pure
+        function of the immutable build, so overlapping queries on one
+        searcher that share or lose the table still get exact counts."""
+        if self._query_dfs is not None:
+            yield
+            return
+        self._query_dfs = {}
+        try:
+            yield
+        finally:
+            self._query_dfs = None
 
     # --- search --------------------------------------------------------
     def search(self, spec: SearchSpec) -> list[SearchResult]:
-        candidates = self._evaluate_subqueries(spec)
-        if len(candidates) == 0:
-            return []
-        results = self._score(spec, candidates)
-        return self._select_best(spec, results)
+        with self._query_scope():
+            candidates = self._evaluate_subqueries(spec)
+            if len(candidates) == 0:
+                return []
+            results = self._score(spec, candidates)
+            return self._select_best(spec, results)
 
     def search_words(
         self,
@@ -251,13 +307,14 @@ class IndexSearcher:
         self, raw: str, expand_variants: bool = True, **spec_kwargs
     ) -> list[SearchResult]:
         """Full query-string path: Q1/Q3 parser -> variant expansion (Q2)
-        -> SearchSpec -> search."""
+        -> SearchSpec -> search, under one per-query doc-frequency table."""
         from marginalia_ray.query.parser import parse_query
 
-        spec = parse_query(raw, **spec_kwargs)
-        if expand_variants and spec.subqueries:
-            spec.subqueries = self.expand_variants(spec.subqueries[0])
-        return self.search(spec)
+        with self._query_scope():
+            spec = parse_query(raw, **spec_kwargs)
+            if expand_variants and spec.subqueries:
+                spec.subqueries = self.expand_variants(spec.subqueries[0])
+            return self.search(spec)
 
     MAX_VARIANTS = 5  # QueryFactory.trimArray retains the last 5 variants
     MAX_ALTERNATIVES = 6  # permuteQueriesNew caps faithful+alternative at 6
@@ -339,6 +396,7 @@ class IndexSearcher:
         out: list[np.ndarray] = []
         total = 0
         seen = np.zeros(0, dtype=U64)  # consideredUrlIds dedup (D2)
+        param_filtered = self._constrains(spec)
 
         for sq in spec.subqueries:
             terms = self._resolve_terms(sq)
@@ -392,7 +450,8 @@ class IndexSearcher:
                 if len(cand):
                     seen = np.union1d(seen, cand)
                 # forward-index param filter (memoized last in the reference)
-                cand = cand[self._param_filter(spec, cand)]
+                if param_filtered:
+                    cand = cand[self._param_filter(spec, cand)]
                 if len(cand) == 0:
                     continue
                 room = fetch_size - total
@@ -422,8 +481,20 @@ class IndexSearcher:
                 excludes.append(th)
         return includes, excludes
 
+    @staticmethod
+    def _constrains(spec: SearchSpec) -> bool:
+        """Whether the param filter can reject anything: the spec names
+        domains, a search set, or a doc-meta limit other than NONE."""
+        return (
+            bool(spec.domains)
+            or spec.search_set is not None
+            or any(getattr(spec, name).type != "NONE" for name, _ in _DOC_META_LIMITS)
+        )
+
     def _param_filter(self, spec: SearchSpec, cand: np.ndarray) -> np.ndarray:
-        """ParamMatchingQueryFilter over the forward index (J6)."""
+        """ParamMatchingQueryFilter over the forward index (J6); tests only
+        the constraints the spec sets.  `_evaluate_subqueries` calls it
+        only when `_constrains(spec)`."""
         url_ids = url_id_of(cand).astype(np.int64)
         metas, domains = self.forward.lookup(url_ids)
         ok = np.ones(len(cand), dtype=bool)
@@ -431,10 +502,10 @@ class IndexSearcher:
             ok &= np.isin(domains, np.asarray(spec.domains, dtype=np.int64))
         if spec.search_set is not None:
             ok &= spec.search_set.contains_array(domains)
-        ok &= spec.quality.test(doc_meta_quality(metas).astype(np.int64))
-        ok &= spec.year.test(doc_meta_year(metas))
-        ok &= spec.size.test(doc_meta_size(metas))
-        ok &= spec.rank.test(doc_meta_rank(metas).astype(np.int64))
+        for name, extract in _DOC_META_LIMITS:
+            limit = getattr(spec, name)
+            if limit.type != "NONE":
+                ok &= limit.test(extract(metas))
         return ok
 
     # calculatePreliminaryScore, vectorized over all candidates

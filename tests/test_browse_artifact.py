@@ -272,35 +272,47 @@ class TestJournalBuild:
         )
         return jdir
 
-    def test_clique_journal_serves_relatedness(self, ray_session, tmp_path):
-        """A 20-host clique yields real domain adjacencies, so the
-        neighbors table is written from the ranked rows (not the empty
-        schema): similar_domains and explorer_related read its
-        relatedness column."""
-        import pyarrow.parquet as pq
-
+    @pytest.fixture(scope="class")
+    def clique_artifact(self, ray_session, tmp_path_factory):
+        """A 20-host clique journal's artifact: (hosts, out dir, reader)."""
         from marginalia_ray.pipelines.browse_artifact import (
             BrowseArtifact,
             build_browse_from_journal,
         )
-        from marginalia_ray.pipelines.domain_rank import _id31
 
+        tmp_path = tmp_path_factory.mktemp("clique")
         hosts = [f"h{i}.example" for i in range(20)]
         jdir = self._journal(
             tmp_path, hosts, lambda i: [h for j, h in enumerate(hosts) if j != i]
         )
-        art = BrowseArtifact(
-            build_browse_from_journal(str(jdir), str(tmp_path / "browse"), n_buckets=4)
-        )
-        nb = pq.read_table(tmp_path / "browse" / "neighbors")
+        out = build_browse_from_journal(str(jdir), str(tmp_path / "browse"), n_buckets=4)
+        return hosts, tmp_path / "browse", BrowseArtifact(out)
+
+    def test_clique_journal_serves_relatedness(self, clique_artifact):
+        """A 20-host clique yields real domain adjacencies, so the
+        neighbors table is written from the ranked rows (not the empty
+        schema): explorer_related reads its relatedness column."""
+        import pyarrow.parquet as pq
+
+        hosts, out, art = clique_artifact
+        nb = pq.read_table(out / "neighbors")
         assert nb.num_rows > 0 and "relatedness" in nb.column_names
-        # the journal carries no screenshots, so no neighbor qualifies
-        sim = art.similar_domains([_id31("h0.example")], count=5)
-        assert sim.num_rows == 0
-        assert sim.column_names == ["domain_id", "neighbor_id", "neighbor_name", "relatedness"]
         rel = art.explorer_related("h0.example").to_pandas()
         assert set(rel["domain"]) == set(hosts[1:])
         assert (rel["relatedness"] > 0).all()
+
+    def test_journal_artifact_similar_domains_raises(self, clique_artifact):
+        """The journal carries no screenshots, so the artifact has no
+        screenshots table and similar_domains raises a typed error for
+        every probe, known or not."""
+        from marginalia_ray.pipelines.browse_artifact import NoScreenshotData
+        from marginalia_ray.pipelines.domain_rank import _id31
+
+        hosts, out, art = clique_artifact
+        assert not (out / "screenshots").exists()
+        for probe in (hosts[0], "unknown.example"):
+            with pytest.raises(NoScreenshotData, match="no screenshots table"):
+                art.similar_domains([_id31(probe)], count=5)
 
     def test_build_from_journal(self, ray_session, tmp_path):
         """job.py --browse path: a hand-built journal (url, links) yields a

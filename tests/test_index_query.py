@@ -7,6 +7,8 @@ WordMetadata(positions=factor_index, {Title}); docMeta year=i%5, sets=i,
 quality=i%20.  Expected results are exact urlId arrays in exact order.
 """
 
+import collections
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -321,6 +323,103 @@ class TestBlockMaxSkip:
         r1 = [(r.url_id, round(r.score, 9)) for r in s1.search(spec)]
         r2 = [(r.url_id, round(r.score, 9)) for r in s2.search(spec)]
         assert r1 == r2
+
+
+class TestQueryLookups:
+    """The warm query path looks each term's doc frequency up once per
+    query, and touches the forward index for the param filter only when
+    the spec constrains something."""
+
+    @staticmethod
+    def _count_doc_freq(monkeypatch):
+        from marginalia_ray.index.segment import SegmentShardReader
+
+        calls = collections.Counter()
+        orig = SegmentShardReader.doc_freq
+
+        def counting(self, th):
+            calls[(self.kind, th)] += 1
+            return orig(self, th)
+
+        monkeypatch.setattr(SegmentShardReader, "doc_freq", counting)
+        return calls
+
+    def test_doc_freq_once_per_query(self, built_index, monkeypatch):
+        from marginalia_ray.query.parser import parse_query
+
+        s = IndexSearcher(built_index)
+        q = "3 5 2 -4"
+        # the query expands into several variants that share terms
+        assert len(s.expand_variants(parse_query(q).subqueries[0])) > 1
+        calls = self._count_doc_freq(monkeypatch)
+
+        res = s.search_query(q)
+        assert res and calls
+        assert max(calls.values()) == 1, calls.most_common(3)
+        first = dict(calls)
+
+        # the table lives only for one call: the next query looks up anew
+        calls.clear()
+        assert s.search_query(q) == res
+        assert dict(calls) == first
+
+        # a direct search(spec) gets its own table too
+        calls.clear()
+        spec = SearchSpec(subqueries=[Subquery(include=["3", "5", "2"], exclude=["4"])])
+        assert [r.url_id for r in s.search(spec)] == [30, 90, 150, 210, 270, 330, 390, 450, 510]
+        assert max(calls.values()) == 1, calls.most_common(3)
+
+    def test_num_hits_sums_bucket_directories(self, ray_session, tmp_path_factory, build_paths):
+        """On a multi-bucket build, num_hits / num_hits_prio equal each
+        term's doc_freq summed over the terms directories of its buckets,
+        on both grouping paths."""
+        import pyarrow.parquet as pq
+
+        for grouping in build_paths():
+            d = tmp_path_factory.mktemp("dfsum")
+            built = build_index(ray.data.from_arrow(make_journal()), d, n_shards=4, n_buckets=3)
+            assert built["grouping"] == grouping
+            s = IndexSearcher(d)
+            for kind, num_hits in (("full", s.num_hits), ("prio", s.num_hits_prio)):
+                want: collections.Counter = collections.Counter()
+                spread: collections.Counter = collections.Counter()
+                for p in sorted((d / kind).glob("shard=*/bucket=*.terms.parquet")):
+                    t = pq.read_table(p, columns=["term_hash", "doc_freq"])
+                    for th, df in zip(t["term_hash"].to_pylist(), t["doc_freq"].to_pylist()):
+                        want[th] += df
+                        spread[th] += 1
+                assert max(spread.values()) > 1  # some term spans buckets
+                assert {th: num_hits(th) for th in want} == dict(want)
+            assert s.num_hits(term_hash("512")) == 0
+
+    def test_always_true_limits_match_unfiltered(self, built_index, monkeypatch):
+        """Limits that every doc passes force the forward-index filter yet
+        return the same results as a spec with no limit; the unlimited spec
+        reads the forward index only to score."""
+        from marginalia_ray.index.segment import ForwardIndex
+
+        lookups = []
+        orig = ForwardIndex.lookup
+
+        def counting(self, url_ids):
+            lookups.append(len(url_ids))
+            return orig(self, url_ids)
+
+        monkeypatch.setattr(ForwardIndex, "lookup", counting)
+        s = IndexSearcher(built_index)
+        for include in (["2"], ["3", "5"], ["3", "5", "2"]):
+            base = dict(subqueries=[Subquery(include=include)], limit_total=20)
+            lookups.clear()
+            want = s.search(SearchSpec(**base))
+            assert want and len(lookups) == 1  # _score's lookup only
+            for limits in (
+                {"quality": SpecLimit.ge(0)},
+                {"rank": SpecLimit.le(255)},
+                {"quality": SpecLimit.ge(0), "rank": SpecLimit.le(255)},
+            ):
+                lookups.clear()
+                assert s.search(SearchSpec(**base, **limits)) == want
+                assert len(lookups) > 1  # the param filter ran
 
 
 class TestTermCoherenceGolden:

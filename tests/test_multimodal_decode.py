@@ -168,7 +168,7 @@ class TestImageStage:
         out2 = ImageDecodeStage()(batch)
         np.testing.assert_array_equal(emb, np.array(out2["embedding"][0].as_py()))
 
-    def test_unknown_format_strict_raises(self):
+    def test_jpeg_magic_garbage_gives_corrupt_null_row(self):
         """JPEG magic followed by garbage does not raise: the stage keeps
         the row with null features and status corrupt."""
         batch = pa.table({"doc_id": [1], "image": [b"\xff\xd8jpeg"]})
@@ -178,7 +178,7 @@ class TestImageStage:
         for col in ("width", "height", "channels", "embedding"):
             assert out[col].to_pylist() == [None]
 
-    def test_unknown_format_fake_fallback(self, rgb):
+    def test_mixed_batch_gives_statuses_and_null_features(self, rgb):
         """No features are made up for a failed payload.  Unknown magic
         bytes are unsupported; JPEG magic followed by garbage and a
         truncated PNG are corrupt.  Each failed payload keeps its row with
@@ -213,9 +213,9 @@ class TestAudio:
         assert out["sample_rate"][0].as_py() == 16000
         assert abs(out["duration_s"][0].as_py() - 0.5) < 1e-6
 
-    def test_mp3ish_strict_raises(self):
+    def test_id3_without_frame_gives_corrupt_null_row(self):
         """An ID3 tag with no MPEG frame after it is corrupt: a null row,
-        no exception (the name predates the null-row contract)."""
+        no exception."""
         batch = pa.table({"doc_id": [7], "audio": [b"ID3\x03 not-wav"]})
         out = AudioFeatureStage()(batch)
         assert out.to_pylist() == [
@@ -337,10 +337,9 @@ def test_video_stage_real_path(ray_session):
     assert np.allclose(emb0, _image_embedding(frames[0], 32), atol=1e-6)
 
 
-def test_video_stage_unknown_raises_or_fakes():
+def test_video_stage_unknown_and_h264_give_unsupported_rows():
     """Unknown bytes and an AVI whose stream is H.264 are unsupported:
-    one row each with null frame columns, no exception (the name
-    predates the null-row contract)."""
+    one row each with null frame columns, no exception."""
     from marginalia_ray.ops.multimodal import VideoFrameSampleStage
 
     avi = bytearray(_encode_avi([np.zeros((4, 4, 3), np.uint8)]))
@@ -510,10 +509,9 @@ def test_avi_with_audio_stream_still_decodes(ray_session):
     assert np.array_equal(out[0], frames[0])
 
 
-def test_corrupt_mjpg_frame_falls_back_to_fake():
+def test_corrupt_mjpg_frame_gives_corrupt_null_row():
     """Header parse succeeds but a frame is corrupt: one row with null
-    frame columns and status corrupt, no exception (the name predates the
-    null-row contract)."""
+    frame columns and status corrupt, no exception."""
     import struct
 
     from marginalia_ray.ops.multimodal import VideoFrameSampleStage

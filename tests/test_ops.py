@@ -168,9 +168,9 @@ def test_multimodal_plumbing(ray_session):
     assert vf["frame_embedding"].isna().all() and set(vf["decode_status"]) == {"unsupported"}
 
 
-def test_real_decode_path_raises():
-    """An undecodable image no longer raises: it gets one row with null
-    features and its decode_status (the name predates that contract)."""
+def test_undecodable_image_gives_unsupported_null_row():
+    """An undecodable image does not raise: it gets one row with null
+    features and decode_status unsupported."""
     from marginalia_ray.ops.multimodal import ImageDecodeStage
 
     t = pa.table({"doc_id": [1], "image": pa.array([b"xx"], pa.binary())})

@@ -60,7 +60,7 @@ class TestComputePhash:
 
 
 class TestPhashStage:
-    def test_real_and_fake_paths(self, ray_session):
+    def test_real_image_hashed_and_blob_gets_null(self, ray_session):
         """A decodable image gets its real pHash; an opaque blob gets a null
         phash with status unsupported, never a made-up hash."""
         import ray.data
@@ -80,7 +80,7 @@ class TestPhashStage:
         }
         assert out == {1: (compute_phash(img), "ok"), 2: (None, "unsupported")}
 
-    def test_fake_false_raises(self):
+    def test_undecodable_blob_gives_null_phash(self):
         """The stage does not raise on an undecodable blob: the row keeps
         its id with a null phash and status unsupported."""
         import pyarrow as pa
