@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from marginalia_ray.ops.multimodal import _MP3_BITRATE, _MP3_RATES, UnsupportedFormat
+from marginalia_ray.ops.multimodal import _MP3_BITRATE, _MP3_RATES, UnsupportedFormat, skip_id3v2
 
 # ---- Annex B bit-allocation tables --------------------------------------
 # Each table: list of (nbal, steps) per subband, where steps[alloc_index]
@@ -267,12 +267,7 @@ class _Synthesizer:
 def mp2_decode(data: bytes, max_frames: int = 200_000):
     """Full-stream Layer II decode -> (pcm float64 [n, nch], sample_rate).
     Skips ID3v2; walks frames until the stream ends."""
-    pos = 0
-    if data[:3] == b"ID3" and len(data) >= 10:
-        size = ((data[6] & 0x7F) << 21) | ((data[7] & 0x7F) << 14) | (
-            (data[8] & 0x7F) << 7
-        ) | (data[9] & 0x7F)
-        pos = 10 + size
+    pos = skip_id3v2(data)
     chunks = []
     rate = 0
     synths = None
@@ -313,12 +308,7 @@ def mp2_mfcc(data: bytes, n_mfcc: int = 13) -> tuple[float, int, np.ndarray]:
 def sniff_layer(data: bytes) -> int | None:
     """First MPEG audio frame's layer (1/2/3) after any ID3v2 tag, or
     None when no valid header is found in the first 64 KiB."""
-    pos = 0
-    if data[:3] == b"ID3" and len(data) >= 10:
-        size = ((data[6] & 0x7F) << 21) | ((data[7] & 0x7F) << 14) | (
-            (data[8] & 0x7F) << 7
-        ) | (data[9] & 0x7F)
-        pos = 10 + size
+    pos = skip_id3v2(data)
     end = min(len(data) - 1, pos + 65536)
     while pos < end:
         if data[pos] == 0xFF and (data[pos + 1] & 0xE0) == 0xE0:

@@ -559,6 +559,18 @@ def _vbr_header_frames(data: bytes, pos: int, flen: int, ver_bits: int,
     return None
 
 
+def skip_id3v2(data: bytes) -> int:
+    """Offset of the first byte after a leading ID3v2 tag, or 0 when the
+    data does not start with one.  The tag size is the 10-byte header's
+    4-byte synchsafe integer (7 bits per byte; bit 7 of each is ignored)."""
+    if data[:3] != b"ID3" or len(data) < 10:
+        return 0
+    size = 0
+    for b in data[6:10]:
+        size = (size << 7) | (b & 0x7F)
+    return 10 + size
+
+
 def mp3_stream_info(data: bytes, max_frames: int = 200_000):
     """REAL MPEG-audio frame-header walk (no payload decode): returns
     (duration_s, sample_rate, n_frames).  Skips a leading ID3v2 tag,
@@ -574,11 +586,7 @@ def mp3_stream_info(data: bytes, max_frames: int = 200_000):
     if the max_frames walk cap (a DoS guard) is hit, the remaining
     bytes' duration is extrapolated from the walked frames' mean
     bytes/sec, so very long streams still report ~the full length."""
-    pos = 0
-    if data[:3] == b"ID3" and len(data) >= 10:
-        size = ((data[6] & 0x7F) << 21) | ((data[7] & 0x7F) << 14) | \
-               ((data[8] & 0x7F) << 7) | (data[9] & 0x7F)
-        pos = 10 + size
+    pos = skip_id3v2(data)
     n = len(data)
     frames = 0
     duration = 0.0
@@ -656,11 +664,7 @@ def mp3_frame_envelope(data: bytes, max_frames: int = 200_000):
     runs regardless — the envelope IS the point here, unlike
     mp3_stream_info's O(1) fast path.  Raises ValueError when no valid
     frame exists."""
-    pos = 0
-    if data[:3] == b"ID3" and len(data) >= 10:
-        size = ((data[6] & 0x7F) << 21) | ((data[7] & 0x7F) << 14) | \
-               ((data[8] & 0x7F) << 7) | (data[9] & 0x7F)
-        pos = 10 + size
+    pos = skip_id3v2(data)
     n = len(data)
     frames = 0
     duration = 0.0

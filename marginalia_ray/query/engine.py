@@ -18,8 +18,11 @@ Ports (semantics, not code) of:
 
 Candidate retrieval is vectorized: posting lists are sorted uint64 arrays;
 retain (J3) = sorted intersection via np.searchsorted (galloping
-equivalent); reject (J4) = sorted difference.  Scoring runs as one numpy
-pass over all candidates (the reference scores with a parallel stream).
+equivalent); reject (J4) = sorted difference.  Every query head of a
+subquery shares the reference's alsoFull/notFull filters, so their
+conjunction over the full index is computed once per subquery and each
+head is a boolean mask over it.  Scoring runs as one numpy pass over all
+candidates (the reference scores with a parallel stream).
 
 Lookups per query:
   - Doc frequencies: while one `search_query` (or a direct `search`) runs,
@@ -28,9 +31,12 @@ Lookups per query:
     (`_query_scope`); parsing, variant expansion, term resolution,
     query-head ordering, the skip-decode choice and the valuator all read
     it.  Nothing is kept across queries.
+  - Set operations: per subquery, one intersection per include after the
+    rarest and one difference per exclude; the heads add one searchsorted
+    per priority list.
   - The forward-index param filter runs only when the spec constrains
     something (domains, a search set, or a `SpecLimit` other than NONE),
-    and then tests only the limits that are set.
+    and then once per subquery, testing only the limits that are set.
 """
 
 from __future__ import annotations
@@ -51,7 +57,6 @@ from marginalia_ray.model.codecs import (
     doc_meta_rank,
     doc_meta_size,
     doc_meta_year,
-    popcount,
     url_id_of,
     word_meta_positions,
 )
@@ -139,22 +144,22 @@ _DOC_META_LIMITS = (
 )
 
 
+def _in_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask over `a`: which elements are present in sorted array `b`."""
+    if len(a) == 0 or len(b) == 0:
+        return np.zeros(len(a), dtype=bool)
+    idx = np.minimum(np.searchsorted(b, a), len(b) - 1)
+    return b[idx] == a
+
+
 def _intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Keep elements of `a` present in sorted array `b` (retain / semi-join)."""
-    if len(a) == 0 or len(b) == 0:
-        return a[:0]
-    idx = np.searchsorted(b, a)
-    idx = np.minimum(idx, len(b) - 1)
-    return a[b[idx] == a]
+    return a[_in_sorted(a, b)]
 
 
 def _difference_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Drop elements of `a` present in sorted array `b` (reject / anti-join)."""
-    if len(a) == 0 or len(b) == 0:
-        return a
-    idx = np.searchsorted(b, a)
-    idx = np.minimum(idx, len(b) - 1)
-    return a[b[idx] != a]
+    return a[~_in_sorted(a, b)]
 
 
 class IndexSearcher:
@@ -393,6 +398,18 @@ class IndexSearcher:
 
     # evaluateSubqueries + createQueries + executeQuery
     def _evaluate_subqueries(self, spec: SearchSpec) -> np.ndarray:
+        """Candidate ids, head by head, at most `fetch_size` in total (4x
+        for a one-term subquery).
+
+        Each subquery computes its full-index conjunction once, rarest
+        include first: `conj` = the rarest full list, intersected with
+        every other include's and stripped of every exclude's — the
+        alsoFull/notFull filters the reference runs on each head.  A head
+        is then a mask over `conj`: GOOD_i marks the ids in prio list P_i,
+        BEST_ij = GOOD_i & GOOD_j, FALLBACK is all of `conj`.  Heads run in
+        BEST, GOOD, FALLBACK order with the reference's omitQuery
+        thresholds; an id a head considered (before the param filter and
+        `room` truncation) is skipped by every later head and subquery."""
         out: list[np.ndarray] = []
         total = 0
         seen = np.zeros(0, dtype=U64)  # consideredUrlIds dedup (D2)
@@ -407,59 +424,49 @@ class IndexSearcher:
                 continue
 
             ordered = sorted(set(includes), key=lambda t: (self.num_hits(t), includes.index(t)))
+            conj, _ = self.postings("full", ordered[0])
+            for t in ordered[1:]:  # alsoFull
+                if len(conj) == 0:
+                    break
+                full_ids, _ = self.postings_vs("full", t, conj)
+                conj = _intersect_sorted(conj, full_ids)
+            for t in excludes:  # notFull
+                if len(conj) == 0:
+                    break
+                ex_ids, _ = self.postings_vs("full", t, conj)
+                conj = _difference_sorted(conj, ex_ids)
+            if len(conj) == 0:
+                continue
+
             ordered_prio = sorted(set(includes), key=lambda t: (self.num_hits_prio(t), includes.index(t)))
-            fetch_mult = 4 if len(ordered) == 1 else 1
-            fetch_size = spec.fetch_size * fetch_mult
+            good = [_in_sorted(conj, self.postings("prio", t)[0]) for t in ordered_prio]
+            heads = [("BEST", good[i] & good[j]) for i in range(len(good)) for j in range(i + 1, len(good))]
+            heads += [("GOOD", g) for g in good]
+            heads.append(("FALLBACK", np.ones(len(conj), dtype=bool)))
 
-            heads: list[tuple[str, np.ndarray]] = []
-            # BEST: priority-index pair intersections
-            if len(ordered_prio) > 1:
-                for i in range(len(ordered_prio) - 1):
-                    for j in range(i + 1, len(ordered_prio)):
-                        a, _ = self.postings("prio", ordered_prio[i])
-                        b, _ = self.postings("prio", ordered_prio[j])
-                        heads.append(("BEST", _intersect_sorted(a, b)))
-            # GOOD: single priority-index terms
-            for t in ordered_prio:
-                ids, _ = self.postings("prio", t)
-                heads.append(("GOOD", ids))
-            # FALLBACK: rarest full-index term
-            ids, _ = self.postings("full", ordered[0])
-            heads.append(("FALLBACK", ids))
-
-            for priority, ids in heads:
+            considered = _in_sorted(conj, seen)
+            # forward-index param filter (memoized last in the reference)
+            param_ok = self._param_filter(spec, conj) if param_filtered else None
+            fetch_size = spec.fetch_size * (4 if len(ordered) == 1 else 1)
+            for priority, mask in heads:
                 # omitQuery (IndexQueryService.java:199-207)
                 if priority == "GOOD" and total > spec.fetch_size // 4:
                     continue
                 if priority == "FALLBACK" and total > spec.fetch_size // 256:
                     continue
-
-                cand = ids
-                for t in ordered:  # alsoFull over every include
-                    full_ids, _ = self.postings_vs("full", t, cand)
-                    cand = _intersect_sorted(cand, full_ids)
-                    if len(cand) == 0:
-                        break
-                for t in excludes:  # notFull
-                    if len(cand) == 0:
-                        break
-                    ex_ids, _ = self.postings_vs("full", t, cand)
-                    cand = _difference_sorted(cand, ex_ids)
-                # dedup against already-considered ids
-                cand = _difference_sorted(cand, seen)
-                if len(cand):
-                    seen = np.union1d(seen, cand)
-                # forward-index param filter (memoized last in the reference)
-                if param_filtered:
-                    cand = cand[self._param_filter(spec, cand)]
-                if len(cand) == 0:
+                hit = mask & ~considered
+                considered |= mask
+                if param_ok is not None:
+                    hit &= param_ok
+                if not hit.any():
                     continue
                 room = fetch_size - total
                 if room <= 0:
                     break
-                cand = cand[:room]
+                cand = conj[hit][:room]
                 out.append(cand)
                 total += len(cand)
+            seen = np.union1d(seen, conj[considered])
 
         if not out:
             return np.zeros(0, dtype=U64)
@@ -550,28 +557,22 @@ class IndexSearcher:
         prio_bonus = np.where(has_prio, 2.0, 0.0)  # PriorityTermBonus
 
         best_score = np.full(n, 10.0)  # ResultValuator bestScore init
-        max_flags = np.zeros(n, dtype=np.int64)
+        # the reference keeps, over strategy-ok variants, the max of each
+        # variant's min flag / position count and disqualifies on 0: a doc
+        # passes when some variant has a filter flag (or a position) on
+        # every term
+        has_flags = np.zeros(n, dtype=bool)
+        has_positions = np.zeros(n, dtype=bool)
         any_all_synth = np.zeros(n, dtype=bool)
-        max_positions = np.zeros(n, dtype=np.int64)
 
         params = spec.ranking_params
         for termlist in variants:
             wm = np.stack([get_metas(w) for w in termlist]) if termlist else np.zeros((0, n), dtype=U64)
-
-            synth = np.ones(n, dtype=bool)
-            for t in range(wm.shape[0]):
-                synth &= (wm[t] & U64(WordFlags.Synthetic.bit)) != 0
-
             strategy_ok = self._strategy_ok(spec.query_strategy, wm)
-
-            flag_counts = popcount(wm & U64(FLAGS_FILTER_MASK))  # (n_terms, n)
-            pos_counts = popcount(word_meta_positions(wm))
-            min_flags = np.minimum(flag_counts.min(axis=0, initial=8), 8)
-            min_pos = np.minimum(pos_counts.min(axis=0, initial=4), 4)
-
-            max_flags = np.where(strategy_ok, np.maximum(max_flags, min_flags), max_flags)
-            max_positions = np.where(strategy_ok, np.maximum(max_positions, min_pos), max_positions)
-            any_all_synth |= strategy_ok & synth
+            has_flags |= strategy_ok & ((wm & U64(FLAGS_FILTER_MASK)) != 0).all(axis=0)
+            has_positions |= strategy_ok & (word_meta_positions(wm) != 0).all(axis=0)
+            synth = (wm & U64(WordFlags.Synthetic.bit)) != 0  # (n_terms, n)
+            any_all_synth |= strategy_ok & synth.all(axis=0)
 
             # ResultValuator.createKeywordSet: drop "special" keywords — the
             # term string contains ':' (always excluded) or the *per-doc*
@@ -582,7 +583,7 @@ class IndexSearcher:
             if not colon_free:
                 continue
 
-            synth_bits = (wm[colon_free] & U64(WordFlags.Synthetic.bit)) != 0  # (k, n)
+            synth_bits = synth[colon_free]
             pattern = np.zeros(n, dtype=np.int64)
             for t in range(synth_bits.shape[0]):
                 pattern |= synth_bits[t].astype(np.int64) << t
@@ -622,9 +623,7 @@ class IndexSearcher:
                 overlap &= word_meta_positions(get_metas(w))
             coherent &= overlap != 0
 
-        disqualified = ~coherent | ((max_flags == 0) & ~any_all_synth & (max_positions == 0))
-
-        keep = ~disqualified
+        keep = coherent & (has_flags | any_all_synth | has_positions)  # else disqualified
         return {
             "cand": cand[keep],
             "url_ids": url_ids[keep],

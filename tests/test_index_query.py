@@ -421,6 +421,182 @@ class TestQueryLookups:
                 assert s.search(SearchSpec(**base, **limits)) == want
                 assert len(lookups) > 1  # the param filter ran
 
+    def test_one_conjunction_per_subquery(self, built_index, monkeypatch):
+        """Every query head shares one full-index conjunction: at most one
+        set operation per include after the rarest and one per exclude,
+        however many heads the subquery has (here 3 BEST, 3 GOOD and the
+        FALLBACK, since every factors posting is in the prio index)."""
+        from marginalia_ray.query import engine
+
+        ops = collections.Counter()
+        for name in ("_intersect_sorted", "_difference_sorted"):
+            orig = getattr(engine, name)
+
+            def counting(a, b, _name=name, _orig=orig):
+                ops[_name] += 1
+                return _orig(a, b)
+
+            monkeypatch.setattr(engine, name, counting)
+        spec = SearchSpec(subqueries=[Subquery(include=["3", "5", "2"], exclude=["4"])])
+        res = IndexSearcher(built_index).search(spec)
+        assert [r.url_id for r in res] == [30, 90, 150, 210, 270, 330, 390, 450, 510]
+        assert sum(ops.values()) <= (3 - 1) + 1, ops
+
+
+def make_mixed_prio_journal() -> pa.Table:
+    """The factors corpus with Title on 3 of every 8 postings and no flag
+    on the rest, so the priority index holds a proper subset of each full
+    list: among the candidates of "3 5 2 -4" some docs are in two prio
+    lists (BEST heads) and some in none (only FALLBACK finds them).  No
+    position mask sets bit 0, which the prio predicate would read as the
+    UrlDomain flag.  Year 1998 goes to docs i with i // 30 not a multiple
+    of 3 (in the factors corpus every multiple of 30 has year 1996)."""
+    t = make_journal()
+    rows = t["kw_metas"].to_pylist()
+    title = WordFlags.Title.bit
+    metas = [
+        [encode_word_meta((idx + 1) << 1, title if (i // 10 + 2 * idx) % 8 < 3 else 0) for idx in range(len(row))]
+        for i, row in enumerate(rows, start=1)
+    ]
+    years = [encode_doc_meta(year=2 if (i // 30) % 3 else 0, sets=i) for i in range(1, len(rows) + 1)]
+    t = t.set_column(1, "doc_meta", pa.array(years, type=pa.uint64()))
+    return t.set_column(3, "kw_metas", pa.array(metas, type=pa.list_(pa.uint64())))
+
+
+@pytest.fixture(scope="module")
+def built_mixed_prio_index(ray_session, tmp_path_factory):
+    d = tmp_path_factory.mktemp("idx_mixed_prio")
+    build_index(ray.data.from_arrow(make_mixed_prio_journal()), d, n_shards=8, n_buckets=1)
+    return d
+
+
+def oracle_candidates(s: IndexSearcher, spec: SearchSpec) -> list[int]:
+    """createQueries/executeQuery written with Python sets over whole
+    posting lists: each head (BEST prio pairs, GOOD prio terms, FALLBACK
+    rarest full term) is intersected with every include's full list, minus
+    every exclude's, minus ids an earlier head considered; the param filter
+    runs after dedup, then the sorted head is cut to the room left."""
+    from marginalia_ray.model.codecs import doc_meta_year
+
+    def ids(kind, th):
+        return set(s.postings(kind, th)[0].tolist())
+
+    def passes(c):
+        if spec.year.type == "NONE":
+            return True
+        metas, _ = s.forward.lookup(np.array([c & 0xFFFFFFFF], dtype=np.int64))
+        return bool(spec.year.test(doc_meta_year(metas))[0])
+
+    out, seen = [], set()
+    for sq in spec.subqueries:
+        hashes = [term_hash(w) for w in sq.include + sq.advice]
+        if not hashes or any(th is None or not ids("full", th) for th in hashes):
+            continue
+        excludes = [th for th in map(term_hash, sq.exclude) if th is not None]
+        full = {th: ids("full", th) for th in hashes}
+        prio = {th: ids("prio", th) for th in hashes}
+        ordered = sorted(set(hashes), key=lambda t: (len(full[t]), hashes.index(t)))
+        ordered_prio = sorted(set(hashes), key=lambda t: (len(prio[t]), hashes.index(t)))
+        heads = [
+            ("BEST", prio[a] & prio[b])
+            for k, a in enumerate(ordered_prio)
+            for b in ordered_prio[k + 1 :]
+        ]
+        heads += [("GOOD", prio[t]) for t in ordered_prio]
+        heads.append(("FALLBACK", full[ordered[0]]))
+        fetch_size = spec.fetch_size * (4 if len(ordered) == 1 else 1)
+        for priority, head in heads:
+            if priority == "GOOD" and len(out) > spec.fetch_size // 4:
+                continue
+            if priority == "FALLBACK" and len(out) > spec.fetch_size // 256:
+                continue
+            cand = head.intersection(*full.values())
+            cand = cand.difference(*(ids("full", t) for t in excludes)) - seen
+            seen |= cand
+            cand = sorted(c for c in cand if passes(c))
+            if not cand:
+                continue
+            room = fetch_size - len(out)
+            if room <= 0:
+                break
+            out += cand[:room]
+    return out
+
+
+class TestCandidateOracle:
+    """`_evaluate_subqueries` against `oracle_candidates` on the variants
+    of one query, across fetch sizes that trip the omitQuery thresholds
+    and the room cut at different heads."""
+
+    @pytest.mark.parametrize("fixture", ["built_index", "built_mixed_prio_index"])
+    @pytest.mark.parametrize("year", [None, 1998])
+    def test_heads_match_set_oracle(self, fixture, year, request):
+        from marginalia_ray.query.parser import parse_query
+
+        s = IndexSearcher(request.getfixturevalue(fixture))
+        subqueries = s.expand_variants(parse_query("3 5 2 -4").subqueries[0])
+        assert len(subqueries) > 1
+        limits = {"year": SpecLimit.eq(year)} if year is not None else {}
+        lengths = set()
+        for fetch_size in (4, 16, 64, 256, 4000):
+            spec = SearchSpec(subqueries=subqueries, fetch_size=fetch_size, **limits)
+            want = oracle_candidates(s, spec)
+            assert s._evaluate_subqueries(spec).tolist() == want, fetch_size
+            lengths.add(len(want))
+        if fixture == "built_index" and year is not None:
+            assert lengths == {0}  # every candidate has year 1996
+        else:
+            assert len(lengths) > 1  # the room cut bites at the small sizes
+
+
+class TestDisqualification:
+    """calculatePreliminaryScore drops a doc whose terms have neither a
+    filter flag nor a position in any strategy-ok variant."""
+
+    @pytest.fixture(scope="class")
+    def built_small(self, ray_session, tmp_path_factory):
+        title, subjects = WordFlags.Title.bit, WordFlags.Subjects.bit
+        docs = {  # url id -> {term: (positions, flags)}
+            1: {"a": (0, 0)},  # neither: dropped
+            2: {"a": (0, subjects)},  # flags only
+            3: {"a": (0b10, 0)},  # positions only
+            4: {"a": (0b10, subjects)},  # no Title anywhere
+            5: {"a": (0b10, subjects), "b": (0b100, title)},  # Title on "b"
+            6: {"c": (0, subjects), "d": (0, 0)},  # "d" has neither: dropped
+        }
+        t = pa.table(
+            {
+                "doc_id": pa.array([u | (7 << 32) for u in docs], type=pa.uint64()),
+                "doc_meta": pa.array([0] * len(docs), type=pa.uint64()),
+                "term_hashes": pa.array(
+                    [[term_hash(w) for w in d] for d in docs.values()], type=pa.list_(pa.uint64())
+                ),
+                "kw_metas": pa.array(
+                    [[encode_word_meta(p, f) for p, f in d.values()] for d in docs.values()],
+                    type=pa.list_(pa.uint64()),
+                ),
+            }
+        )
+        d = tmp_path_factory.mktemp("idx_disq")
+        build_index(ray.data.from_arrow(t), d, n_shards=2, n_buckets=1)
+        return IndexSearcher(d)
+
+    @staticmethod
+    def _urls(s, strategy):
+        spec = SearchSpec(
+            subqueries=[Subquery(include=["a"]), Subquery(include=["b"]), Subquery(include=["c", "d"])],
+            limit_total=10,
+            query_strategy=strategy,
+        )
+        return sorted(r.url_id for r in s.search(spec))
+
+    def test_no_flags_and_no_positions_dropped(self, built_small):
+        assert self._urls(built_small, "SENTENCE") == [2, 3, 4, 5]
+
+    def test_variant_without_title_does_not_rescue(self, built_small):
+        # only doc 5 has a variant (["b"]) whose every term carries Title
+        assert self._urls(built_small, "REQUIRE_FIELD_TITLE") == [5]
+
 
 class TestTermCoherenceGolden:
     """Mirror of the reference's TermCoherenceFactorTest.java:17-42: the

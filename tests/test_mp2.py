@@ -107,6 +107,37 @@ class TestSniffer:
         assert sniff_layer(b"\x00" * 100) is None
 
 
+class TestId3Skip:
+    """`multimodal.skip_id3v2`, the one ID3v2 skip both MPEG walkers and
+    the Layer II decoder use."""
+
+    def test_synchsafe_size_masks_bit7(self):
+        from marginalia_ray.ops.multimodal import skip_id3v2
+
+        # bit 7 set in every size byte must be ignored: 7 bits per byte
+        tag = b"ID3\x04\x00\x00" + bytes([0x81, 0x82, 0x83, 0x84])
+        assert skip_id3v2(tag) == 10 + ((1 << 21) | (2 << 14) | (3 << 7) | 4)
+        assert skip_id3v2(b"ID3\x03\x00\x00" + bytes([0, 0, 1, 0x7F])) == 10 + 255
+
+    def test_short_or_untagged_input_is_zero(self):
+        from marginalia_ray.ops.multimodal import skip_id3v2
+
+        for data in (b"", b"ID3", b"ID3\x04\x00\x00\x00\x00\x00", bytes([0xFF, 0xFB, 0x90, 0x00]) * 4):
+            assert skip_id3v2(data) == 0
+
+    def test_sniffer_skips_a_tag_holding_a_frame_sync(self):
+        import sys
+
+        sys.path.insert(0, "tests")
+        from mp2_encoder import encode_mp2
+
+        from marginalia_ray.ops.mp2 import sniff_layer
+
+        body = bytes([0xFF, 0xFB, 0x90, 0x00]) + b"\x00" * 12  # a Layer III header
+        tag = b"ID3\x04\x00\x00" + bytes([0, 0, 0, len(body)]) + body
+        assert sniff_layer(tag + encode_mp2(_sine(440.0, secs=0.2), 44100, 128)) == 2
+
+
 class TestAudioFeatureStage:
     def test_layer2_real_mfcc_no_gate(self):
         """Layer II decodes for real (status ok); the MFCCs must match
