@@ -58,8 +58,9 @@ BLOOM_K = 2
 GRPQ_MIN_MEAN = -1.707  # splits the fixture's per-source quality means
 HH_NUM, HH_DEN = 1, 50  # heavy-hitter threshold: tokens with >= 2% of corpus mass
 CHUNK_TOKENS = 32  # chunk_documents window (overlap=0 for the SQL oracle)
-# browse/explore family (ops/browse.py): EC_DOMAIN fixture is derived from
-# part (see the dom CTE in the oracles); constants shared by Ray and SQL
+# browse/explore family (ops/browse.py, pipelines/browse_artifact.py): the
+# EC_DOMAIN fixture is derived from part (see the dom CTE in the oracles);
+# constants shared by Ray and SQL
 BROWSE_RANDOM_COUNT = 8
 BROWSE_RANDOM_SEED = 7
 BROWSE_RANDOM_BLACKLIST = (21, 70)  # set-0 members that pass STATE<2
@@ -856,9 +857,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
     def _browse_domains(sf_dir: str):
-        """EC_DOMAIN fixture for the browse/explore family (ops/browse.py):
-        deterministic name/state/indexed/alias columns derived from part —
-        mirrored by the `dom` CTE in the browse oracles."""
+        """EC_DOMAIN fixture for the browse/explore family (ops/browse.py
+        and the browse artifact): deterministic name/state/indexed/alias
+        columns derived from part — mirrored by the `dom` CTE in the
+        browse oracles."""
         import numpy as np
         import pyarrow as pa
         import ray.data
@@ -930,8 +932,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def q_similar_domains(sf_dir: str):
         # DbBrowseDomainsSimilarCosine: top-N neighbors of each probe with
         # screenshots (domain_id % 3 != 1), blacklist-filtered — served
-        # from the stored browse artifact (probe buckets only); parity
-        # with the streaming op pinned in tests/test_browse_artifact.py
+        # from the stored browse artifact (probe buckets only); unit
+        # semantics pinned in tests/test_browse.py
         return _browse_art(sf_dir).similar_domains(
             SIM_PROBES, count=SIM_COUNT, blacklist=SIM_BLACKLIST
         )
@@ -939,8 +941,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def q_explorer_related(sf_dir: str):
         # ExplorerService.getRelatedDomains for one probe (alias-following),
         # served from the stored browse artifact (EC_DOMAIN_NEIGHBORS_2 is
-        # a stored table in the reference); parity with the streaming op
-        # pinned in tests/test_browse_artifact.py
+        # a stored table in the reference); unit semantics pinned in
+        # tests/test_browse.py
         return _browse_art(sf_dir).explorer_related(EXPLORER_PROBE)
 
     def q_browse_url_ids(sf_dir: str):
@@ -3579,7 +3581,7 @@ def _random_domains_sql() -> str:
 
 
 def _similar_domains_sql() -> str:
-    """Mirrors ops/browse.similar_domains: probe neighbors from the view,
+    """Mirrors BrowseArtifact.similar_domains: probe neighbors from the view,
     screenshot set = domain_id % 3 != 1, blacklist, top SIM_COUNT per
     probe by (integer-percent relatedness desc, neighbor_id)."""
     pr = ", ".join(str(i) for i in SIM_PROBES)
@@ -3595,7 +3597,7 @@ def _similar_domains_sql() -> str:
 
 
 def _explorer_related_sql() -> str:
-    """Mirrors ops/browse.explorer_related: alias-following probe, forward
+    """Mirrors BrowseArtifact.explorer_related: alias-following probe, forward
     + reverse union with forward-first name dedup, the reference's
     asymmetric has-more joins, name-shape filter, active/indexed flags."""
     from marginalia_ray.ops.browse import trim_url_junk
@@ -3623,7 +3625,7 @@ def _explorer_related_sql() -> str:
 
 
 def _old_algo_sql() -> str:
-    """Mirrors ops/browse.old_algo_neighbors: the three-stage cascade with
+    """Mirrors BrowseArtifact.old_algo_neighbors: the three-stage cascade with
     post-LIMIT blacklist skips and set-dedup between stages (the HashSet).
     Stage limits consume rows regardless of dedup/blacklist hits, exactly
     like the reference's read loop."""
@@ -3673,7 +3675,7 @@ def _old_algo_sql() -> str:
 
 
 def _site_info_sql() -> str:
-    """Mirrors ops/browse.site_info for the d50 probe: DOMAIN_METADATA
+    """Mirrors BrowseArtifact.site_info for the d50 probe: DOMAIN_METADATA
     aggregates, link degrees, the Math.round rank display transform, and
     the first-25-by-source-id linking list as one comma-joined column."""
     return f"""

@@ -114,6 +114,13 @@ def murmur3_64(data: bytes) -> int:
     return murmur3_128(data)[0]
 
 
+def domain_id31(fqdn: str) -> int:
+    """The 31-bit id of a domain: the low 31 bits of murmur3_64 of its
+    name.  It is the high half of every doc id (codecs.domain_id_of) and
+    the key of the domain rankings, so both must come from here."""
+    return murmur3_64(fqdn.encode("utf-8")) & 0x7FFF_FFFF
+
+
 @lru_cache(maxsize=1 << 18)
 def term_hash(word: str) -> int:
     """Term id of a keyword: 64-bit murmur3 of its UTF-8 bytes.

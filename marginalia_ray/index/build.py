@@ -132,6 +132,10 @@ def make_run_writer(build_dir: str, n_buckets: int):
 
         rows = [write_run(build_dir, "full", shard, bucket, terms, ids, metas)]
 
+        # tested on the raw word meta: UrlDomain.bit (256) is bit 0 of the
+        # position mask (encode keeps 8 flag bits), so a word whose
+        # position mask has bit 0 set (the title line) is prio whatever
+        # its flags — the reference's encode quirk, kept (SURVEY.md §1.2)
         prio_mask = (metas & U64(HIGH_PRIORITY_FLAGS)) != 0
         rows.append(
             write_run(

@@ -350,6 +350,7 @@ def _rewrite(mode: str, sources: list[str], out_dir: str,
         # a delete keeps every bucket's doc range; a merge re-salts per shard
         "bucket_boundaries": list(manifests[0].get("bucket_boundaries", []))
         if mode == "delete" else [],
+        "n_postings": int(sum(r["n_postings"] for r in lineage if r["kind"] == "full")),
         "elapsed_sec": round(time.time() - t0, 3),
     }
     if mode == "delete":

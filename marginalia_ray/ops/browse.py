@@ -1,7 +1,8 @@
-"""Random/similar-website browse and explorer queries over Ray datasets.
+"""Random-website and url-id browse queries over Ray datasets.
 
-Ports the data layer behind the reference's satellite browse services —
-the queries the dating-service and explorer-service front-ends issue:
+Ports two of the queries behind the reference's satellite browse
+services (the dating-service and explorer-service front-ends), plus the
+explorer's query-name cleanup:
 
   * ``DbBrowseDomainsRandom.getRandomDomains``
     (features-search/random-websites/src/main/java/nu/marginalia/browse/
@@ -11,37 +12,20 @@ the queries the dating-service and explorer-service front-ends issue:
     order — fmix64(domain_id ^ seed) — so results are a pure function of
     (data, seed) and SQL-oracle-checkable; vary ``seed`` per request to
     get the reference's behavior.
-  * ``EC_NEIGHBORS_VIEW`` (common/db/src/main/resources/sql/current/
-    07-neighbors.sql:25-33): the similar-domains adjacency table joined
-    with both domain names, relatedness exposed as ROUND(100 * cosine)
-    — an integer percent.  Built here from the ``domain_adjacencies``
-    output (ops/graph.py) plus the domain-name table.
-  * ``DbBrowseDomainsSimilarCosine.getDomainNeighborsAdjacentCosine``
-    (DbBrowseDomainsSimilarCosine.java:27-66): per probe domain, the
-    top-``count`` neighbors by view relatedness, restricted to domains
-    that have a screenshot, blacklist-filtered.  The reference joins the
-    screenshot table by DOMAIN_NAME (a schema artifact); here the
-    screenshot set is keyed by domain id — same semantics ("neighbor has
-    a screenshot"), integer join keys (documented deviation).
-  * ``ExplorerService.getRelatedDomains`` / ``getDomainId`` /
-    ``trimUrlJunk`` (services-satellite/explorer-service/src/main/java/
-    nu/marginalia/explorer/ExplorerService.java:104-239): two-directional
-    neighbor union with alias following, has-more/active/indexed flags,
-    name-shape filter (length < 48, contains '.'), ordered by
-    relatedness desc then name.
   * ``DbBrowseDomainsSimilarOldAlgo.getBrowseResultFromUrlIds``
     (DbBrowseDomainsSimilarOldAlgo.java:180-212): url-id -> domain
     lookup gated on ``KNOWN_URLS < max_known AND QUALITY > min_quality``.
+  * ``ExplorerService.trimUrlJunk`` (services-satellite/explorer-service/
+    src/main/java/nu/marginalia/explorer/ExplorerService.java:225-239).
 
-The session/web plumbing around these queries (the dating-service
-browsing queue) is ported in ``marginalia_ray/query/dating.py``; this
-module is the data side.
-
-Scale notes: the neighbors view is a STORED artifact in the reference
-(EC_DOMAIN_NEIGHBORS_2, filled by the website-adjacencies batch job) —
-at cluster scale, materialize/write it once and serve the browse queries
-from the stored table; every op here streams over it with broadcast-
-small probe/blacklist sets and keyed joins only.
+The neighbor-based queries (similar domains, explorer related domains,
+the old-algo cascade) and the site-info card are answered from a stored
+table in the reference (EC_DOMAIN_NEIGHBORS_2, filled by the website-
+adjacencies batch job, and DOMAIN_METADATA); here they are served the
+same way, from the bucketed artifact that
+``pipelines/browse_artifact.BrowseArtifact`` reads.  The session/web
+plumbing around these queries (the dating-service browsing queue) is
+ported in ``marginalia_ray/query/dating.py``.
 """
 
 from __future__ import annotations
@@ -165,821 +149,6 @@ def random_domains(
         .sort(["_rk", id_col])
         .limit(kk)
         .drop_columns(["_rk"])
-    )
-
-
-def neighbors_view(
-    adjacencies,
-    domains,
-    *,
-    id_col: str = "domain_id",
-    name_col: str = "domain_name",
-):
-    """EC_NEIGHBORS_VIEW (07-neighbors.sql:25-33): adjacency pairs with
-    both endpoint names attached and relatedness exposed as
-    ROUND(100 * cosine) — an integer percent (MySQL ROUND is half-away-
-    from-zero; values are non-negative, so floor(100 r + 0.5)).
-
-    Two keyed shuffles (one hash_equi_join per endpoint name).  Input
-    ``adjacencies`` is the (domain_id, neighbor_id, relatedness) output
-    of ops/graph.domain_adjacencies.
-    """
-    names = domains.map_batches(
-        lambda t: pa.table(
-            {id_col: t[id_col].cast(pa.int64()), name_col: t[name_col]}
-        ),
-        batch_format="pyarrow",
-    )
-    names_nb = domains.map_batches(
-        lambda t: pa.table(
-            {"_nid": t[id_col].cast(pa.int64()), "neighbor_name": t[name_col]}
-        ),
-        batch_format="pyarrow",
-    )
-
-    def _pct(batch: pa.Table) -> pa.Table:
-        r = batch["relatedness"].to_numpy(zero_copy_only=False)
-        pct = np.floor(100.0 * r + 0.5).astype(np.int64)
-        batch = batch.drop_columns(["relatedness"])
-        return batch.append_column("relatedness", pa.array(pct))
-
-    v = hash_equi_join(
-        adjacencies, names, on=id_col, right_cols=[name_col]
-    )
-    v = hash_equi_join(
-        v, names_nb, on="neighbor_id", right_on="_nid", right_cols=["neighbor_name"]
-    )
-    return v.map_batches(_pct, batch_format="pyarrow")
-
-
-def _pct_int(r: np.ndarray) -> np.ndarray:
-    """ROUND(100 * cosine) — MySQL half-away-from-zero on non-negative
-    values, as EC_NEIGHBORS_VIEW exposes relatedness."""
-    return np.floor(100.0 * r + 0.5).astype(np.int64)
-
-
-def _collect_capped(ds, cap: int, what: str) -> pa.Table | None:
-    """Stream a (small, pre-filtered) dataset to the driver, failing loud
-    above ``cap`` rows — the repo's bounded-collect convention."""
-    batches, total = [], 0
-    for b in ds.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            batches.append(b)
-            total += b.num_rows
-            if total > cap:
-                raise ValueError(
-                    f"{what}: driver candidate rows exceed {cap} — raise "
-                    "the cap or page the request"
-                )
-    return pa.concat_tables(batches) if batches else None
-
-
-def similar_domains(
-    adjacencies,
-    domains,
-    probes,
-    screenshots,
-    *,
-    blacklist=(),
-    count: int = 25,
-    max_candidates: int = 1_000_000,
-    id_col: str = "domain_id",
-    name_col: str = "domain_name",
-    shot_id_col: str = "domain_id",
-) -> pa.Table:
-    """DbBrowseDomainsSimilarCosine.getDomainNeighborsAdjacentCosine
-    (DbBrowseDomainsSimilarCosine.java:27-66): for each probe domain, the
-    top-``count`` neighbors by EC_NEIGHBORS_VIEW relatedness DESC
-    (the view's ROUND(100 * cosine) integer percent), restricted to
-    neighbors with a screenshot, blacklist-filtered client-side before
-    the count cap (same as the reference's skip-then-fill loop).
-
-    This is a SERVING query (the reference answers it per request from
-    an indexed DB), so the Ray shape is shuffle-free: one streaming
-    probe-filter scan of the adjacency table, then one streaming scan
-    each of ``screenshots`` and ``domains`` restricted to the bounded
-    candidate-id set; assembly is driver-side, capped loud at
-    ``max_candidates`` (candidates are <= |probes| * 128 by the
-    adjacency top-k construction).
-
-    Determinism: the reference orders by the view's integer-percent
-    relatedness and leaves ties in server order; here ties break by
-    neighbor_id asc.  ``screenshots`` holds one row per domain id; the
-    reference joins it by DOMAIN_NAME (a schema artifact) — keyed by id
-    here, same semantics (documented deviation).
-
-    Output pa.Table: (domain_id, neighbor_id, neighbor_name,
-    relatedness).
-    """
-    pr = _as_small_ids(probes, "probes")
-    bl = _as_small_ids(blacklist, "blacklist")
-    kk = int(count)
-
-    def _probe_filter(batch: pa.Table) -> pa.Table:
-        ids = batch["domain_id"].to_numpy(zero_copy_only=False)
-        mask = np.isin(ids, pr)
-        if len(bl):
-            mask &= ~np.isin(
-                batch["neighbor_id"].to_numpy(zero_copy_only=False), bl
-            )
-        m = pa.array(mask)
-        return pa.table(
-            {
-                "domain_id": batch["domain_id"].cast(pa.int64()).filter(m),
-                "neighbor_id": batch["neighbor_id"].cast(pa.int64()).filter(m),
-                "relatedness": batch["relatedness"].filter(m),
-            }
-        )
-
-    def _empty() -> pa.Table:
-        return pa.table(
-            {
-                "domain_id": pa.array([], pa.int64()),
-                "neighbor_id": pa.array([], pa.int64()),
-                "neighbor_name": pa.array([], pa.string()),
-                "relatedness": pa.array([], pa.int64()),
-            }
-        )
-
-    cand = _collect_capped(
-        adjacencies.map_batches(_probe_filter, batch_format="pyarrow"),
-        max_candidates,
-        "similar_domains",
-    )
-    if cand is None:
-        return _empty()
-
-    did = cand["domain_id"].to_numpy(zero_copy_only=False)
-    nid = cand["neighbor_id"].to_numpy(zero_copy_only=False)
-    pct = _pct_int(cand["relatedness"].to_numpy(zero_copy_only=False))
-    nids = np.unique(nid)
-
-    # one streaming pass over screenshots restricted to the candidate set
-    shot_ids: set[int] = set()
-
-    def _shots(batch: pa.Table) -> pa.Table:
-        s = batch[shot_id_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table({"id": pa.array(s[np.isin(s, nids)])})
-
-    for b in screenshots.map_batches(_shots, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        shot_ids.update(b["id"].to_pylist())
-
-    keep = np.array([int(i) in shot_ids for i in nid], np.bool_)
-    did, nid, pct = did[keep], nid[keep], pct[keep]
-    if not len(did):
-        return _empty()
-
-    # per-probe top-count by (pct desc, neighbor_id asc)
-    order = np.lexsort((nid, -pct, did))
-    did, nid, pct = did[order], nid[order], pct[order]
-    starts = np.flatnonzero(np.r_[True, did[1:] != did[:-1]])
-    pos = np.arange(len(did)) - np.repeat(
-        starts, np.diff(np.r_[starts, len(did)])
-    )
-    topk = pos < kk
-    did, nid, pct = did[topk], nid[topk], pct[topk]
-
-    # one streaming domains pass attaches the winners' names
-    win = np.unique(nid)
-    names: dict[int, str] = {}
-
-    def _names(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        mask = np.isin(ids, win)
-        m = pa.array(mask)
-        return pa.table(
-            {"id": pa.array(ids[mask]), "name": batch[name_col].filter(m)}
-        )
-
-    for b in domains.map_batches(_names, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        for i, nm in zip(b["id"].to_pylist(), b["name"].to_pylist()):
-            names[int(i)] = nm
-
-    return pa.table(
-        {
-            "domain_id": pa.array(did.astype(np.int64)),
-            "neighbor_id": pa.array(nid.astype(np.int64)),
-            "neighbor_name": pa.array(
-                [names[int(i)] for i in nid], pa.string()
-            ),
-            "relatedness": pa.array(pct.astype(np.int64)),
-        }
-    )
-
-
-def explorer_related(
-    adjacencies,
-    domains,
-    query: str,
-    *,
-    id_col: str = "domain_id",
-    name_col: str = "domain_name",
-    state_col: str = "state",
-    indexed_col: str = "indexed",
-    alias_col: str = "domain_alias",
-    active_states=(0, 1, 2),
-    max_results: int = 100_000,
-) -> pa.Table:
-    """ExplorerService.getRelatedDomains + getDomainId (ExplorerService.
-    java:104-239): resolve the queried domain name (following its alias,
-    both ids probe), then union
-
-      * FORWARD neighbors (adjacency rows whose domain_id is a probe),
-        with has_more = the neighbor itself appears as a probe side
-        (``LEFT JOIN EC_NEIGHBORS_VIEW LV ON NV.NEIGHBOR_ID =
-        LV.DOMAIN_ID``), and
-      * REVERSE neighbors (adjacency rows whose neighbor_id is a probe),
-        skipped when the forward pass already produced the name, with
-        has_more = the domain appears as a NEIGHBOR side somewhere
-        (``LV ON NV.DOMAIN_ID = LV.NEIGHBOR_ID`` — the reference's
-        asymmetry, kept as written),
-
-    keeping names shorter than 48 chars containing a '.', flagging
-    active (state in ``active_states`` — the reference's
-    ACTIVE/SOCIAL_MEDIA/REDIR string states as this fixture's int codes)
-    and indexed (> 0), ordered by relatedness desc then name asc.
-    Relatedness is the view's ROUND(100 * cosine) integer percent,
-    computed here from the raw adjacency cosine.
-
-    Determinism notes (reference divergences, both documented):
-      * MySQL's loose ``GROUP BY NEIGHBOR_ID`` picks an arbitrary
-        relatedness when both probe ids reach the same neighbor — here
-        it is max().
-      * The final Java sort's comparator ``(int)(o.relatedness -
-        relatedness)`` is exact for the view's integer-percent values
-        (transitive int diff), so relatedness-desc-then-name is the
-        true reference order, not an approximation.
-
-    SERVING-query shape (the reference answers it per request from the
-    stored EC_DOMAIN_NEIGHBORS_2 table): shuffle-free — one name-lookup
-    scan plus two streaming adjacency scans (candidate pull, has-more
-    probe) and one domains scan (names + flags), each with a broadcast-
-    small id set.  Pass a materialized adjacency table when serving many
-    requests.  Driver-side state is the candidate list, capped loud at
-    ``max_results``.
-
-    Returns a pa.Table: (domain, url, relatedness, has_more, active,
-    indexed).
-    """
-    name = trim_url_junk(query)
-
-    def _empty() -> pa.Table:
-        return pa.table(
-            {
-                "domain": pa.array([], pa.string()),
-                "url": pa.array([], pa.string()),
-                "relatedness": pa.array([], pa.int64()),
-                "has_more": pa.array([], pa.bool_()),
-                "active": pa.array([], pa.bool_()),
-                "indexed": pa.array([], pa.bool_()),
-            }
-        )
-
-    probe_rows = (
-        domains.map_batches(
-            lambda t: t.filter(
-                pc.fill_null(pc.equal(t[name_col], pa.scalar(name)), False)
-            ),
-            batch_format="pyarrow",
-        )
-        .limit(1)
-        .take_all()
-    )
-    if not probe_rows:
-        return _empty()
-    did = int(probe_rows[0][id_col])
-    alias = probe_rows[0].get(alias_col)
-    aid = did if alias is None else int(alias)
-    probe_ids = np.unique(np.array([did, aid], np.int64))
-
-    def _candidates(batch: pa.Table) -> pa.Table:
-        d = batch["domain_id"].to_numpy(zero_copy_only=False)
-        n = batch["neighbor_id"].to_numpy(zero_copy_only=False)
-        r = batch["relatedness"].to_numpy(zero_copy_only=False)
-        fwd = np.isin(d, probe_ids)
-        rev = np.isin(n, probe_ids)
-        return pa.table(
-            {
-                "id": pa.array(
-                    np.concatenate([n[fwd], d[rev]]).astype(np.int64)
-                ),
-                "pct": pa.array(np.concatenate([_pct_int(r[fwd]), _pct_int(r[rev])])),
-                "fwd": pa.array(
-                    np.r_[
-                        np.ones(int(fwd.sum()), np.bool_),
-                        np.zeros(int(rev.sum()), np.bool_),
-                    ]
-                ),
-            }
-        )
-
-    cand = _collect_capped(
-        adjacencies.map_batches(_candidates, batch_format="pyarrow"),
-        max_results,
-        "explorer_related",
-    )
-    if cand is None:
-        return _empty()
-
-    cid = cand["id"].to_numpy(zero_copy_only=False)
-    cpct = cand["pct"].to_numpy(zero_copy_only=False)
-    cfwd = cand["fwd"].to_numpy(zero_copy_only=False)
-
-    # group max(pct) per (direction, id)
-    def _group_max(ids, pcts):
-        if len(ids) == 0:
-            return ids, pcts
-        order = np.lexsort((-pcts, ids))
-        ids_s, pcts_s = ids[order], pcts[order]
-        first = np.r_[True, ids_s[1:] != ids_s[:-1]]
-        return ids_s[first], pcts_s[first]
-
-    f_id, f_pct = _group_max(cid[cfwd], cpct[cfwd])
-    r_id, r_pct = _group_max(cid[~cfwd], cpct[~cfwd])
-
-    all_ids = (
-        np.unique(np.concatenate([f_id, r_id]))
-        if len(f_id) + len(r_id)
-        else np.array([], np.int64)
-    )
-
-    # one view pass answers both has-more questions for the bounded id sets
-    hm_fwd: set[int] = set()
-    hm_rev: set[int] = set()
-
-    def _hm(batch: pa.Table) -> pa.Table:
-        d = np.unique(batch["domain_id"].to_numpy(zero_copy_only=False))
-        n = np.unique(batch["neighbor_id"].to_numpy(zero_copy_only=False))
-        return pa.table(
-            {
-                "id": pa.array(np.concatenate([d, n]).astype(np.int64)),
-                "side": pa.array(
-                    np.r_[np.zeros(len(d), np.int8), np.ones(len(n), np.int8)]
-                ),
-            }
-        )
-
-    for b in adjacencies.map_batches(_hm, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        ids = b["id"].to_numpy(zero_copy_only=False)
-        side = b["side"].to_numpy(zero_copy_only=False)
-        dm = ids[side == 0]
-        nm = ids[side == 1]
-        hm_fwd.update(dm[np.isin(dm, f_id)].tolist())
-        hm_rev.update(nm[np.isin(nm, r_id)].tolist())
-
-    # one domains scan attaches names AND flags; bounded by the candidates
-    flags: dict[int, tuple[str, int, int]] = {}
-
-    def _flags(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        mask = np.isin(ids, all_ids)
-        m = pa.array(mask)
-        return pa.table(
-            {
-                "id": pa.array(ids[mask]),
-                "name": batch[name_col].filter(m),
-                "state": batch[state_col].cast(pa.int64()).filter(m),
-                "indexed": batch[indexed_col].cast(pa.int64()).filter(m),
-            }
-        )
-
-    for b in domains.map_batches(_flags, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        for i, nm, s, ix in zip(
-            b["id"].to_pylist(),
-            b["name"].to_pylist(),
-            b["state"].to_pylist(),
-            b["indexed"].to_pylist(),
-        ):
-            flags[int(i)] = (nm, int(s), int(ix))
-
-    # ids missing from the domains table drop silently — the reference
-    # INNER JOINs EC_DOMAIN, so dangling adjacency ids never surface.
-    # Reverse rows whose name the forward pass already produced are skipped.
-    f_names = {flags[int(i)][0] for i in f_id if int(i) in flags}
-    rkeep = np.array(
-        [int(i) in flags and flags[int(i)][0] not in f_names for i in r_id],
-        np.bool_,
-    )
-    r_id, r_pct = r_id[rkeep], r_pct[rkeep]
-
-    active_set = frozenset(int(s) for s in active_states)
-    rows = []
-    for ids, pcts, hm in (
-        (f_id, f_pct, hm_fwd),
-        (r_id, r_pct, hm_rev),
-    ):
-        for i, p in zip(ids.tolist(), pcts.tolist()):
-            if int(i) not in flags:
-                continue
-            nm, st, ix = flags[int(i)]
-            if len(nm) >= 48 or "." not in nm:
-                continue
-            rows.append(
-                (
-                    nm,
-                    f"http://{nm}/",
-                    int(p),
-                    int(i) in hm,
-                    st in active_set,
-                    ix > 0,
-                )
-            )
-    rows.sort(key=lambda r: (-r[2], r[0]))
-    if not rows:
-        return _empty()
-    cols = list(zip(*rows))
-    return pa.table(
-        {
-            "domain": pa.array(cols[0], pa.string()),
-            "url": pa.array(cols[1], pa.string()),
-            "relatedness": pa.array(cols[2], pa.int64()),
-            "has_more": pa.array(cols[3], pa.bool_()),
-            "active": pa.array(cols[4], pa.bool_()),
-            "indexed": pa.array(cols[5], pa.bool_()),
-        }
-    )
-
-
-def old_algo_neighbors(
-    neighbors,
-    links,
-    domains,
-    meta,
-    probe_id: int,
-    *,
-    count: int = 25,
-    blacklist=(),
-    max_known: int = 1000,
-    max_inlinks: int = 100,
-    max_candidates: int = 1_000_000,
-    id_col: str = "domain_id",
-    name_col: str = "domain_name",
-    state_col: str = "state",
-    alias_col: str = "domain_alias",
-) -> pa.Table:
-    """DbBrowseDomainsSimilarOldAlgo.getDomainNeighborsAdjacent
-    (DbBrowseDomainsSimilarOldAlgo.java:29-134): the three-stage fallback
-    cascade BrowseCommand uses to supplement thin cosine results —
-
-      1. stored neighbors of the probe (EC_DOMAIN_NEIGHBORS, ADJ_IDX
-         order, LIMIT ``count``);
-      2. if the result set holds fewer than ``count // 2`` domains:
-         domains the probe LINKS TO, by rank asc, LIMIT the shortfall;
-      3. if still short: domains LINKING TO the probe, same shape.
-
-    Every stage requires state < 2, no alias, a DOMAIN_METADATA row with
-    KNOWN_URLS < ``max_known``, and at least one but fewer than
-    ``max_inlinks`` inbound links (the reference's inner LINK join +
-    ``HAVING CNT < 100``).  The blacklist is applied AFTER each stage's
-    LIMIT (the reference skips rows client-side), and stages dedup into
-    one result set (its HashSet).  MySQL's arbitrary rank/ADJ_IDX tie
-    order is made deterministic with an id tie-break.
-
-    Inputs: ``neighbors`` (domain_id, neighbor_id, adj_idx), ``links``
-    (src, dst — DISTINCT edges), ``domains`` (id/name/state/alias),
-    ``meta`` (domain_id, known_urls, rank).  SERVING-query shape: four
-    streaming scans with broadcast-bounded id sets (probe edges, then
-    candidate info), driver assembly capped at ``max_candidates``.
-
-    Output pa.Table: (domain_id, domain_name) — the deduped union.
-    """
-    bl = set(int(i) for i in _as_small_ids(blacklist, "blacklist"))
-    probe = int(probe_id)
-    half = int(count) // 2
-
-    # stage-candidate pull: probe's stored neighbors + probe's edges
-    def _cands(batch: pa.Table) -> pa.Table:
-        d = batch["domain_id"].to_numpy(zero_copy_only=False)
-        m = pa.array(d == probe)
-        return pa.table(
-            {
-                "id": batch["neighbor_id"].cast(pa.int64()).filter(m),
-                "adj_idx": batch["adj_idx"].cast(pa.int64()).filter(m),
-            }
-        )
-
-    nb = _collect_capped(
-        neighbors.map_batches(_cands, batch_format="pyarrow"),
-        max_candidates,
-        "old_algo_neighbors(neighbors)",
-    )
-    q1_ids = nb["id"].to_numpy(zero_copy_only=False) if nb is not None else np.array([], np.int64)
-    q1_idx = nb["adj_idx"].to_numpy(zero_copy_only=False) if nb is not None else np.array([], np.int64)
-
-    def _edges(batch: pa.Table) -> pa.Table:
-        s = batch["src"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        d = batch["dst"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        keep = (s == probe) | (d == probe)
-        m = pa.array(keep)
-        return pa.table(
-            {"src": pa.array(s[keep]), "dst": pa.array(d[keep])}
-        )
-
-    pe = _collect_capped(
-        links.map_batches(_edges, batch_format="pyarrow"),
-        max_candidates,
-        "old_algo_neighbors(probe edges)",
-    )
-    if pe is not None:
-        ps = pe["src"].to_numpy(zero_copy_only=False)
-        pd_ = pe["dst"].to_numpy(zero_copy_only=False)
-        q2_ids = np.unique(pd_[ps == probe])  # probe links to them
-        q3_ids = np.unique(ps[pd_ == probe])  # they link to probe
-    else:
-        q2_ids = q3_ids = np.array([], np.int64)
-
-    cand = np.unique(np.concatenate([q1_ids, q2_ids, q3_ids])).astype(np.int64)
-    if not len(cand):
-        return pa.table(
-            {
-                "domain_id": pa.array([], pa.int64()),
-                "domain_name": pa.array([], pa.string()),
-            }
-        )
-
-    # one links pass: inbound-link counts for the bounded candidate set
-    inlinks: dict[int, int] = {}
-
-    def _inl(batch: pa.Table) -> pa.Table:
-        d = batch["dst"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        d = d[np.isin(d, cand)]
-        u, c = np.unique(d, return_counts=True)
-        return pa.table({"id": pa.array(u), "n": pa.array(c.astype(np.int64))})
-
-    for b in links.map_batches(_inl, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        for i, n in zip(b["id"].to_pylist(), b["n"].to_pylist()):
-            inlinks[int(i)] = inlinks.get(int(i), 0) + int(n)
-
-    # one domains pass + one meta pass for the candidate set
-    dom_info: dict[int, tuple[str, int, bool]] = {}
-
-    def _dom(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        m = pa.array(np.isin(ids, cand))
-        return pa.table(
-            {
-                "id": batch[id_col].cast(pa.int64()).filter(m),
-                "name": batch[name_col].filter(m),
-                "state": batch[state_col].cast(pa.int64()).filter(m),
-                "alias_null": pc.is_null(batch[alias_col]).filter(m),
-            }
-        )
-
-    for b in domains.map_batches(_dom, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        for i, nm, st, an in zip(
-            b["id"].to_pylist(), b["name"].to_pylist(),
-            b["state"].to_pylist(), b["alias_null"].to_pylist(),
-        ):
-            dom_info[int(i)] = (nm, int(st), bool(an))
-
-    meta_info: dict[int, tuple[int, int]] = {}
-
-    def _meta(batch: pa.Table) -> pa.Table:
-        ids = batch["domain_id"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        m = pa.array(np.isin(ids, cand))
-        return pa.table(
-            {
-                "id": batch["domain_id"].cast(pa.int64()).filter(m),
-                "known": batch["known_urls"].cast(pa.int64()).filter(m),
-                "rank": batch["rank"].cast(pa.int64()).filter(m),
-            }
-        )
-
-    for b in meta.map_batches(_meta, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        for i, k, r in zip(
-            b["id"].to_pylist(), b["known"].to_pylist(), b["rank"].to_pylist()
-        ):
-            meta_info[int(i)] = (int(k), int(r))
-
-    def _eligible(i: int) -> bool:
-        if i not in dom_info or i not in meta_info:
-            return False  # inner joins against EC_DOMAIN / DOMAIN_METADATA
-        nm, st, alias_null = dom_info[i]
-        known, _rank = meta_info[i]
-        il = inlinks.get(i, 0)
-        return (
-            st < 2
-            and alias_null
-            and known < max_known
-            and 1 <= il < max_inlinks
-        )
-
-    result: dict[int, str] = {}  # insertion-ordered result set (the HashSet)
-
-    # stage 1: ADJ_IDX order, LIMIT count, blacklist skipped post-limit
-    order = np.lexsort((q1_ids, q1_idx))
-    stage1 = [int(q1_ids[j]) for j in order if _eligible(int(q1_ids[j]))][: int(count)]
-    for i in stage1:
-        if i not in bl:
-            result[i] = dom_info[i][0]
-
-    def _rank_stage(ids: np.ndarray, shortfall: int) -> None:
-        elig = [int(i) for i in ids if _eligible(int(i))]
-        elig.sort(key=lambda i: (meta_info[i][1], i))
-        for i in elig[:shortfall]:
-            if i not in bl:
-                result[i] = dom_info[i][0]
-
-    # stages 2/3 fire only while the set holds fewer than count // 2
-    if len(result) < half:
-        _rank_stage(q2_ids, half - len(result))
-    if len(result) < half:
-        _rank_stage(q3_ids, half - len(result))
-
-    ids = list(result)
-    return pa.table(
-        {
-            "domain_id": pa.array(ids, pa.int64()),
-            "domain_name": pa.array([result[i] for i in ids], pa.string()),
-        }
-    )
-
-
-def site_info(
-    domains,
-    meta,
-    links,
-    crawl_queue,
-    blacklist_names,
-    site: str,
-    *,
-    id_col: str = "domain_id",
-    name_col: str = "domain_name",
-    state_col: str = "state",
-    rank_col: str = "rank_d",
-    max_candidates: int = 1_000_000,
-) -> pa.Table:
-    """DomainInformationService.domainInfo (search-service/siteinfo/
-    DomainInformationService.java:44-90 plus its per-field queries):
-    the ``site:`` info card — page counts from DOMAIN_METADATA,
-    inbound/outbound link-counts, the rank display transform
-    ``Math.round(10000 (1 - rank)) / 100``, blacklist and crawl-queue
-    membership, ``suggestForCrawling = pagesVisited == 0 && !inQueue``,
-    and the first 25 linking domains by source id
-    (EC_RELATED_LINKS_VIEW ... ORDER BY SOURCE_DOMAIN_ID LIMIT 25,
-    emitted as one comma-joined column so the row stays flat).
-
-    Inputs: ``domains`` (id/name/state/rank_d), ``meta`` (domain_id,
-    known_urls, visited_urls, good_urls), ``links`` (src, dst — DISTINCT
-    edges), ``crawl_queue`` (domain_name), ``blacklist_names``
-    (domain_name — EC_DOMAIN_BLACKLIST.URL_DOMAIN, the bare domain).
-    SERVING-query shape: streaming scans with the probe id/name
-    broadcast; the only unbounded collection (inbound sources) keeps a
-    running smallest-25 per batch, so driver state is O(25).  The
-    reference's missing-metadata default (0 counts) is kept.  ``state``
-    stays the fixture's int code (the reference renders the enum's
-    description string).
-
-    Output: one-row pa.Table (domain, blacklisted, pages_known,
-    pages_fetched, pages_indexed, incoming_links, outgoing_links,
-    ranking, state, in_crawl_queue, suggest_for_crawling,
-    linking_domains); zero rows when the domain is unknown.
-    """
-
-    def _empty() -> pa.Table:
-        return pa.table(
-            {
-                "domain": pa.array([], pa.string()),
-                "blacklisted": pa.array([], pa.bool_()),
-                "pages_known": pa.array([], pa.int64()),
-                "pages_fetched": pa.array([], pa.int64()),
-                "pages_indexed": pa.array([], pa.int64()),
-                "incoming_links": pa.array([], pa.int64()),
-                "outgoing_links": pa.array([], pa.int64()),
-                "ranking": pa.array([], pa.float64()),
-                "state": pa.array([], pa.int64()),
-                "in_crawl_queue": pa.array([], pa.bool_()),
-                "suggest_for_crawling": pa.array([], pa.bool_()),
-                "linking_domains": pa.array([], pa.string()),
-            }
-        )
-
-    probe_rows = (
-        domains.map_batches(
-            lambda t: t.filter(
-                pc.fill_null(pc.equal(t[name_col], pa.scalar(site)), False)
-            ),
-            batch_format="pyarrow",
-        )
-        .limit(1)
-        .take_all()
-    )
-    if not probe_rows:
-        return _empty()
-    row = probe_rows[0]
-    did = int(row[id_col])
-    name = row[name_col]
-    state = int(row[state_col])
-    rank = row.get(rank_col)
-    rank = 1.0 if rank is None else float(rank)  # IFNULL(RANK, 1)
-    ranking = np.floor(10000.0 * (1.0 - rank) + 0.5) / 100.0  # Math.round
-
-    # one meta scan (0 defaults when the row is absent)
-    known = fetched = indexed = 0
-    for b in meta.map_batches(
-        lambda t: t.filter(
-            pc.fill_null(pc.equal(t["domain_id"], pa.scalar(did)), False)
-        ),
-        batch_format="pyarrow",
-    ).iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            known = int(b["known_urls"][0].as_py())
-            fetched = int(b["visited_urls"][0].as_py())
-            indexed = int(b["good_urls"][0].as_py())
-
-    # one links scan: degree counts + running smallest-25 inbound sources
-    incoming = outgoing = 0
-    in_srcs = np.array([], np.int64)
-
-    def _deg(batch: pa.Table) -> pa.Table:
-        s = batch["src"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        d = batch["dst"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        srcs = np.sort(s[d == did])[:25]
-        return pa.table(
-            {
-                "n_out": pa.array([int((s == did).sum())]),
-                "n_in": pa.array([int((d == did).sum())]),
-                "srcs": pa.array([srcs.tolist()], pa.list_(pa.int64())),
-            }
-        )
-
-    for b in links.map_batches(_deg, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        for i in range(b.num_rows):
-            outgoing += int(b["n_out"][i].as_py())
-            incoming += int(b["n_in"][i].as_py())
-            in_srcs = np.sort(
-                np.concatenate([in_srcs, np.array(b["srcs"][i].as_py(), np.int64)])
-            )[:25]
-
-    def _name_member(ds, target: str) -> bool:
-        for b in ds.map_batches(
-            lambda t: t.filter(
-                pc.fill_null(pc.equal(t[name_col], pa.scalar(target)), False)
-            ),
-            batch_format="pyarrow",
-        ).iter_batches(batch_format="pyarrow"):
-            if b.num_rows:
-                return True
-        return False
-
-    in_queue = _name_member(crawl_queue, name)
-    blacklisted = _name_member(blacklist_names, name)
-
-    # one domains scan names the (<= 25) linking sources
-    src_names: dict[int, str] = {}
-    if len(in_srcs):
-        srcs_arr = in_srcs
-
-        def _nm(batch: pa.Table) -> pa.Table:
-            ids = batch[id_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
-            m = pa.array(np.isin(ids, srcs_arr))
-            return pa.table(
-                {"id": batch[id_col].cast(pa.int64()).filter(m),
-                 "name": batch[name_col].filter(m)}
-            )
-
-        for b in domains.map_batches(_nm, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow"
-        ):
-            for i, nm in zip(b["id"].to_pylist(), b["name"].to_pylist()):
-                src_names[int(i)] = nm
-    linking = ",".join(
-        src_names[int(i)] for i in in_srcs if int(i) in src_names
-    )
-
-    return pa.table(
-        {
-            "domain": pa.array([name], pa.string()),
-            "blacklisted": pa.array([blacklisted], pa.bool_()),
-            "pages_known": pa.array([known], pa.int64()),
-            "pages_fetched": pa.array([fetched], pa.int64()),
-            "pages_indexed": pa.array([indexed], pa.int64()),
-            "incoming_links": pa.array([incoming], pa.int64()),
-            "outgoing_links": pa.array([outgoing], pa.int64()),
-            "ranking": pa.array([ranking], pa.float64()),
-            "state": pa.array([state], pa.int64()),
-            "in_crawl_queue": pa.array([in_queue], pa.bool_()),
-            "suggest_for_crawling": pa.array(
-                [fetched == 0 and not in_queue], pa.bool_()
-            ),
-            "linking_domains": pa.array([linking], pa.string()),
-        }
     )
 
 

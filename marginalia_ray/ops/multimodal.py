@@ -571,27 +571,26 @@ def skip_id3v2(data: bytes) -> int:
     return 10 + size
 
 
-def mp3_stream_info(data: bytes, max_frames: int = 200_000):
-    """REAL MPEG-audio frame-header walk (no payload decode): returns
-    (duration_s, sample_rate, n_frames).  Skips a leading ID3v2 tag,
-    resyncs on garbage, sums per-frame durations so VBR streams report
-    the true length.  Raises ValueError if no valid frame is found.
+def _mpeg_frames(data: bytes, max_frames: int):
+    """The MPEG-audio frame-header walk (no payload decode) that both
+    mp3_stream_info and mp3_frame_envelope consume.  Yields
+    (pos, flen, samples, rate, bitrate, declared) for each COMPLETE frame
+    in stream order, bitrate in bits/s.
 
-    If the FIRST frame carries a Xing/Info or VBRI header (the standard
-    VBR duration headers), the declared frame count gives the exact
-    duration in O(1) — the multi-megabyte payload walk is skipped
-    entirely, which is the behavior that matters at corpus scale.
-
-    Only COMPLETE frames count (a truncated final frame is ignored);
-    if the max_frames walk cap (a DoS guard) is hit, the remaining
-    bytes' duration is extrapolated from the walked frames' mean
-    bytes/sec, so very long streams still report ~the full length."""
+    Skips a leading ID3v2 tag and resyncs byte by byte past garbage and
+    invalid headers (reserved version or layer, free or bad bitrate,
+    reserved rate, a length of 4 bytes or less); a truncated final frame
+    (header present, payload cut) ends the walk.  ``declared`` is the
+    frame count of a Xing/Info or VBRI header (None when absent or 0),
+    probed on the first frame and, after a frame that declares one, on
+    the next.  A declaring frame is not audio: the walk stops after
+    ``max_frames`` frames that declare nothing (the walk cap, a DoS
+    guard)."""
     pos = skip_id3v2(data)
     n = len(data)
-    frames = 0
-    duration = 0.0
-    rate_out = 0
-    while pos + 4 <= n and frames < max_frames:
+    audio = 0
+    probe = True
+    while pos + 4 <= n and audio < max_frames:
         b0, b1 = data[pos], data[pos + 1]
         if b0 != 0xFF or (b1 & 0xE0) != 0xE0:
             pos += 1  # resync
@@ -622,26 +621,57 @@ def mp3_stream_info(data: bytes, max_frames: int = 200_000):
             pos += 1
             continue
         if pos + flen > n:
-            break  # truncated final frame: header present, payload cut
-        if frames == 0:
-            first_frame_pos = pos
+            return  # truncated final frame: header present, payload cut
+        declared = None
+        if probe:
             chan_mode = (data[pos + 3] >> 6) & 3
-            declared = _vbr_header_frames(data, pos, flen, ver_bits, chan_mode)
-            if declared is not None and declared > 0:
-                # exact VBR duration from the header; the Xing/VBRI frame
-                # itself is not audio, its count covers the rest
-                return declared * samples / rate, rate, declared
+            declared = _vbr_header_frames(data, pos, flen, ver_bits, chan_mode) or None
+            probe = declared is not None
+        if declared is None:
+            audio += 1
+        yield pos, flen, samples, rate, bitrate, declared
+        pos += flen
+
+
+def _unwalked_tail_s(n: int, first: int, end: int, duration: float) -> float:
+    """Seconds of the bytes after a capped walk (``end`` to ``n``), at the
+    walked frames' mean bytes/sec: exact for CBR, close for VBR."""
+    return (n - end) * duration / max(end - first, 1)
+
+
+def mp3_stream_info(data: bytes, max_frames: int = 200_000):
+    """REAL MPEG-audio frame-header walk (no payload decode): returns
+    (duration_s, sample_rate, n_frames).  Skips a leading ID3v2 tag,
+    resyncs on garbage, sums per-frame durations so VBR streams report
+    the true length.  Raises ValueError if no valid frame is found.
+
+    If the FIRST frame carries a Xing/Info or VBRI header (the standard
+    VBR duration headers), the declared frame count gives the exact
+    duration in O(1) — the multi-megabyte payload walk is skipped
+    entirely, which is the behavior that matters at corpus scale.
+
+    Only COMPLETE frames count (a truncated final frame is ignored);
+    if the max_frames walk cap (a DoS guard) is hit, the remaining
+    bytes' duration is extrapolated from the walked frames' mean
+    bytes/sec, so very long streams still report ~the full length."""
+    frames = 0
+    duration = 0.0
+    rate_out = first = end = 0
+    for pos, flen, samples, rate, _bitrate, declared in _mpeg_frames(data, max_frames):
+        if declared is not None:
+            # exact VBR duration from the header; the Xing/VBRI frame
+            # itself is not audio, its count covers the rest
+            return declared * samples / rate, rate, declared
+        if frames == 0:
+            first = pos
         frames += 1
         duration += samples / rate
         rate_out = rate
-        pos += flen
+        end = pos + flen
     if frames == 0:
         raise ValueError("no mpeg audio frames")
-    if frames >= max_frames and pos < n:
-        # walk cap hit: extrapolate the unwalked tail at the walked
-        # frames' mean bytes/sec (exact for CBR, close for VBR)
-        walked = max(pos - first_frame_pos, 1)
-        duration += (n - pos) * duration / walked
+    if frames >= max_frames:
+        duration += _unwalked_tail_s(len(data), first, end, duration)
     return duration, rate_out, frames
 
 
@@ -664,72 +694,33 @@ def mp3_frame_envelope(data: bytes, max_frames: int = 200_000):
     runs regardless — the envelope IS the point here, unlike
     mp3_stream_info's O(1) fast path.  Raises ValueError when no valid
     frame exists."""
-    pos = skip_id3v2(data)
-    n = len(data)
     frames = 0
     duration = 0.0
-    rate_out = 0
+    rate_out = first = end = 0
     declared_dur = None
     kbps: list[float] = []
-    first_frame_pos = 0
-    while pos + 4 <= n and frames < max_frames:
-        b0, b1 = data[pos], data[pos + 1]
-        if b0 != 0xFF or (b1 & 0xE0) != 0xE0:
-            pos += 1
+    for pos, flen, samples, rate, bitrate, declared in _mpeg_frames(data, max_frames):
+        rate_out = rate
+        if declared is not None:
+            # the Xing/VBRI frame itself is not audio: skip it in the
+            # envelope too — but keep its rate as the fallback so a
+            # stream with a declared count and no walkable audio frames
+            # still reports the real sample rate (parity with
+            # mp3_stream_info's O(1) path)
+            declared_dur = declared * samples / rate
             continue
-        ver_bits = (b1 >> 3) & 3
-        layer_bits = (b1 >> 1) & 3
-        if ver_bits == 1 or layer_bits == 0:
-            pos += 1
-            continue
-        b2 = data[pos + 2]
-        br_idx = (b2 >> 4) & 15
-        sr_idx = (b2 >> 2) & 3
-        padding = (b2 >> 1) & 1
-        if br_idx in (0, 15) or sr_idx == 3:
-            pos += 1
-            continue
-        layer = 4 - layer_bits
-        vgroup = 1 if ver_bits == 3 else 2
-        bitrate = _MP3_BITRATE[(vgroup, layer)][br_idx] * 1000
-        rate = _MP3_RATES[ver_bits][sr_idx]
-        if layer == 1:
-            flen = (12 * bitrate // rate + padding) * 4
-            samples = 384
-        else:
-            samples = 1152 if (layer == 2 or vgroup == 1) else 576
-            flen = samples * bitrate // (8 * rate) + padding
-        if flen <= 4:
-            pos += 1
-            continue
-        if pos + flen > n:
-            break
         if frames == 0:
-            first_frame_pos = pos
-            chan_mode = (data[pos + 3] >> 6) & 3
-            declared = _vbr_header_frames(data, pos, flen, ver_bits, chan_mode)
-            if declared is not None and declared > 0:
-                declared_dur = declared * samples / rate
-                # the Xing/VBRI frame itself is not audio: skip it in the
-                # envelope too — but keep its rate as the fallback so a
-                # stream with a declared count and no walkable audio
-                # frames still reports the real sample rate (parity with
-                # mp3_stream_info's O(1) path)
-                rate_out = rate
-                pos += flen
-                continue
+            first = pos
         frames += 1
         duration += samples / rate
-        rate_out = rate
         kbps.append(bitrate / 1000.0)
-        pos += flen
+        end = pos + flen
     if frames == 0 and declared_dur is None:
         raise ValueError("no mpeg audio frames")
     if declared_dur is not None:
         duration = declared_dur
-    elif frames >= max_frames and pos < n:
-        walked = max(pos - first_frame_pos, 1)
-        duration += (n - pos) * duration / walked
+    elif frames >= max_frames:
+        duration += _unwalked_tail_s(len(data), first, end, duration)
     return duration, rate_out, frames, np.asarray(kbps, np.float32)
 
 

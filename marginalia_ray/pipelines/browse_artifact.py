@@ -6,10 +6,10 @@ the website-adjacencies batch job (tools/website-adjacencies-calculator/
 DOMAIN_METADATA are SQL tables, and the serving queries
 (DbBrowseDomainsSimilarOldAlgo.java:29-134, DomainInformationService.
 java:44-90) are per-probe indexed lookups — they never scan the corpus.
-The streaming ops in ``ops/browse.py`` mirror those queries as
-oracle-checkable dataset scans; THIS module is the serving design: one
-distributed build pass writes hash-bucketed parquet, and the reader
-answers each probe from the probe's buckets only.
+This module serves those queries the same way: one distributed build
+pass writes hash-bucketed parquet, and the reader answers each probe
+from the probe's buckets only.  Its independent reference is the DuckDB
+SQL of the browse rows in ``__ray_entry__.oracle_sql()``.
 
 Layout under ``out_dir`` (every table partitioned on ``bucket =
 fmix64(key) % n_buckets`` so a probe prunes to one directory):
@@ -59,6 +59,12 @@ _NEIGHBORS_SCHEMA = pa.schema(
         ("relatedness", pa.float64()),
     ]
 )
+
+
+def _pct_int(r: np.ndarray) -> np.ndarray:
+    """ROUND(100 * cosine) — MySQL half-away-from-zero on non-negative
+    values, as EC_NEIGHBORS_VIEW exposes relatedness."""
+    return np.floor(100.0 * r + 0.5).astype(np.int64)
 
 
 def _bucket_of_int(ids: np.ndarray, n_buckets: int) -> np.ndarray:
@@ -128,10 +134,10 @@ def build_browse_artifact(
     alias_col: str = "domain_alias",
     rank_col: str = "rank_d",
 ) -> str:
-    """One distributed pass -> the serving artifact.  Inputs are the same
-    datasets the streaming browse ops take: ``neighbors`` (domain_id,
-    neighbor_id, adj_idx), ``links`` (src, dst — DISTINCT edges),
-    ``domains`` (id/name/state/alias, optional rank_d), ``meta``
+    """One distributed pass -> the serving artifact.  Inputs:
+    ``neighbors`` (domain_id, neighbor_id, adj_idx, and relatedness for
+    similar_domains / explorer_related), ``links`` (src, dst — DISTINCT
+    edges), ``domains`` (id/name/state/alias, optional rank_d), ``meta``
     (domain_id, known_urls, optional visited_urls/good_urls/rank),
     optional ``crawl_queue`` / ``blacklist_names`` (domain_name).
     Missing meta columns fall back to the serving defaults (0 counts,
@@ -525,11 +531,26 @@ class BrowseArtifact:
         max_known: int = 1000,
         max_inlinks: int = 100,
     ) -> pa.Table:
-        """Same three-stage cascade as ops.browse.old_algo_neighbors
-        (DbBrowseDomainsSimilarOldAlgo.java:29-134), served from the
-        artifact: neighbors/edges from the probe's buckets, eligibility
-        from consolidated domain_meta rows (n_in precomputed at build
-        time replaces the per-probe inlink-count scan)."""
+        """DbBrowseDomainsSimilarOldAlgo.getDomainNeighborsAdjacent
+        (DbBrowseDomainsSimilarOldAlgo.java:29-134): the three-stage
+        fallback cascade BrowseCommand uses to supplement thin cosine
+        results —
+
+          1. stored neighbors of the probe (ADJ_IDX order, LIMIT
+             ``count``);
+          2. if the result set holds fewer than ``count // 2`` domains:
+             domains the probe LINKS TO, by rank asc, LIMIT the shortfall;
+          3. if still short: domains LINKING TO the probe, same shape.
+
+        Every stage requires state < 2, no alias, a metadata row with
+        KNOWN_URLS < ``max_known``, and at least one but fewer than
+        ``max_inlinks`` inbound links.  The blacklist is applied AFTER
+        each stage's LIMIT (the reference skips rows client-side), and
+        stages dedup into one result set (its HashSet).  MySQL's
+        arbitrary rank/ADJ_IDX tie order is made deterministic with an
+        id tie-break.  Neighbors/edges come from the probe's buckets,
+        eligibility from consolidated domain_meta rows (n_in is
+        precomputed at build time)."""
         probe = int(probe_id)
         bl = set(int(i) for i in blacklist)
         half = int(count) // 2
@@ -605,10 +626,16 @@ class BrowseArtifact:
 
     # -- DomainInformationService.domainInfo ---------------------------
     def site_info(self, site: str) -> pa.Table:
-        """Same one-row card as ops.browse.site_info (DomainInformation
-        Service.java:44-90), from ONE consolidated domain_meta row — the
-        degrees, flags and linking_domains string were precomputed at
-        build time."""
+        """DomainInformationService.domainInfo (DomainInformationService.
+        java:44-90): the ``site:`` info card — page counts, inbound and
+        outbound link counts, the rank display transform
+        ``Math.round(10000 (1 - rank)) / 100`` (IFNULL(RANK, 1)),
+        blacklist and crawl-queue membership, ``suggestForCrawling =
+        pagesVisited == 0 && !inQueue``, and the first 25 linking domains
+        by source id as one comma-joined column.  A domain without a
+        metadata row reads 0 counts; an unknown domain gives zero rows.
+        Served from ONE consolidated domain_meta row — the degrees, flags
+        and linking_domains string were precomputed at build time."""
         nb = int(
             _bucket_of_str(pa.array([site], pa.string()), self.n_buckets)[0]
         )
@@ -710,13 +737,10 @@ def build_browse_from_journal(
     """
     import ray.data
 
-    from marginalia_ray.ops.graph import domain_adjacencies
-    from marginalia_ray.pipelines.domain_rank import (
-        _id31,
-        domain_edges,
-        pagerank,
-    )
+    from marginalia_ray.functions.hashing import domain_id31
     from marginalia_ray.functions.urls import parse_url
+    from marginalia_ray.ops.graph import domain_adjacencies
+    from marginalia_ray.pipelines.domain_rank import domain_edges, pagerank
 
     journal = ray.data.read_parquet(journal_dir, columns=["url", "links"])
     edges = domain_edges(journal).materialize()
@@ -724,7 +748,7 @@ def build_browse_from_journal(
     # domains + per-domain doc counts in one pass over urls
     def _dom_partial(batch: pa.Table) -> pa.Table:
         fqdns = [parse_url(u).fqdn for u in batch["url"].to_pylist()]
-        ids = np.array([_id31(f) for f in fqdns], np.int64)
+        ids = np.array([domain_id31(f) for f in fqdns], np.int64)
         order = np.argsort(ids, kind="stable")
         ids_s = ids[order]
         starts = np.flatnonzero(np.r_[True, ids_s[1:] != ids_s[:-1]])
@@ -846,10 +870,10 @@ def _similar_domains_method(self, probes, *, count: int = 25, blacklist=()):
     restrict to neighbors with a screenshot (screenshots buckets),
     blacklist-filter before the count cap, top-``count`` by
     (ROUND(100*cosine) desc, neighbor_id asc), names from domain_meta.
-    Row-identical to ops.browse.similar_domains.  Raises
-    ``NoScreenshotData`` on an artifact built without screenshots."""
-    from marginalia_ray.ops.browse import _pct_int
-
+    The reference joins the screenshot table by DOMAIN_NAME; here it is
+    keyed by domain id (same semantics), and relatedness ties break by
+    neighbor_id asc.  Raises ``NoScreenshotData`` on an artifact built
+    without screenshots."""
     if not (self.root / "screenshots").is_dir():
         raise NoScreenshotData(
             f"{self.root} has no screenshots table; similar_domains keeps "
@@ -938,8 +962,11 @@ def _explorer_related_method(self, query: str, *, active_states=(0, 1, 2)):
     alias_target, forward candidates from the probe ids' neighbors
     buckets, reverse candidates from neighbors_rev, both has-more
     questions answered with filtered candidate-id reads, names/flags
-    from domain_meta.  Row-identical to ops.browse.explorer_related."""
-    from marginalia_ray.ops.browse import _pct_int, trim_url_junk
+    from domain_meta.  Names shorter than 48 chars that contain a '.'
+    are kept, ordered by relatedness desc then name.  When both probe
+    ids reach one neighbor, its relatedness is the max (MySQL's loose
+    GROUP BY picks one arbitrarily)."""
+    from marginalia_ray.ops.browse import trim_url_junk
 
     name = trim_url_junk(query)
     empty = pa.table(

@@ -25,15 +25,11 @@ import pyarrow as pa
 import ray
 
 from marginalia_ray.functions.urls import parse_url
-from marginalia_ray.functions.hashing import murmur3_64
+from marginalia_ray.functions.hashing import domain_id31
 
 MAX_MEANINGFUL_RANK = 50_000
 MAX_RANK = 255
 MIN_RANK = 1
-
-
-def _id31(s: str) -> int:
-    return murmur3_64(s.encode("utf-8")) & 0x7FFF_FFFF
 
 
 def domain_edges(journal_ds):
@@ -47,9 +43,9 @@ def domain_edges(journal_ds):
         for u, ls in zip(urls, links):
             if not ls:
                 continue
-            s = _id31(parse_url(u).fqdn)
+            s = domain_id31(parse_url(u).fqdn)
             for l in ls:
-                d = _id31(parse_url(l).fqdn)
+                d = domain_id31(parse_url(l).fqdn)
                 if d != s:
                     src_out.append(s)
                     dst_out.append(d)

@@ -22,7 +22,7 @@ Providers are plain callables so the session is storage-agnostic:
 ``random_provider(count) -> list[BrowseResult]`` (the reference's
 DbBrowseDomainsRandom — ops/browse.random_domains with a fresh seed per
 call) and ``similar_provider(domain_id, count) -> list[BrowseResult]``
-(DbBrowseDomainsSimilarCosine — ops/browse.similar_domains).  This is
+(DbBrowseDomainsSimilarCosine — BrowseArtifact.similar_domains).  This is
 per-user session state, not a data-plane op; it lives driver/serving
 side and is pytest-verified (tests/test_browse.py), not SQL-oracled.
 """

@@ -569,6 +569,8 @@ class IndexSearcher:
         for termlist in variants:
             wm = np.stack([get_metas(w) for w in termlist]) if termlist else np.zeros((0, n), dtype=U64)
             strategy_ok = self._strategy_ok(spec.query_strategy, wm)
+            # raw word meta: FLAGS_FILTER_MASK's UrlDomain.bit is position
+            # bit 0, so a term on the title line passes whatever its flags
             has_flags |= strategy_ok & ((wm & U64(FLAGS_FILTER_MASK)) != 0).all(axis=0)
             has_positions |= strategy_ok & (word_meta_positions(wm) != 0).all(axis=0)
             synth = (wm & U64(WordFlags.Synthetic.bit)) != 0  # (n_terms, n)
@@ -647,6 +649,9 @@ class IndexSearcher:
         if flag is None:
             return np.ones(n, dtype=bool)
         ok = np.ones(n, dtype=bool)
+        # raw word meta: UrlDomain.bit is position bit 0, so
+        # REQUIRE_FIELD_DOMAIN passes a term on the title line whatever
+        # its flags (the encode quirk, kept)
         for t in range(wm.shape[0]):
             ok &= (wm[t] & U64(flag.bit)) != 0
         return ok

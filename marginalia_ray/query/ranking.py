@@ -99,7 +99,9 @@ def bm25_prio(
     prio_freqs: np.ndarray,  # (n_terms,) priority-index doc frequency
     doc_count: int,
 ) -> np.ndarray:
-    """calculateBm25Prio: tf = popcount(meta & prio flag mask), b=0, length=0."""
+    """calculateBm25Prio: tf = popcount(meta & prio flag mask), b=0, length=0.
+    The mask's UrlDomain.bit is position bit 0 of the raw meta, so a term
+    on the title line counts one more (the encode quirk, kept)."""
     counts = popcount(word_metas & U64(BM25_PRIO_MASK)).astype(np.float64)
     if_ = inv_freq(doc_count, prio_freqs)
     f = bm25_f(params.k, 0.0, counts, 0)

@@ -96,13 +96,13 @@ def build_ranking_search_set(
     the domain link graph, seeded at the profile's origin domains
     (StandardPageRank semantics; reverse=True flips the edges like
     ReversePageRank for the small-web profile), top max_n ids -> set."""
+    from marginalia_ray.functions.hashing import domain_id31
     from marginalia_ray.pipelines.domain_rank import (
-        _id31,
         domain_edges,
         personalized_pagerank_top_n,
     )
 
-    seeds = [_id31(d.lower()) for d in seed_domains]
+    seeds = [domain_id31(d.lower()) for d in seed_domains]
     edges = domain_edges(journal_ds)
     top = personalized_pagerank_top_n(
         edges, seeds, max_n, reverse=reverse, iterations=iterations

@@ -25,7 +25,12 @@ from __future__ import annotations
 import pyarrow as pa
 import ray
 
-from marginalia_ray.functions.hashing import content_hash64, murmur3_64, term_hash
+from marginalia_ray.functions.hashing import (
+    content_hash64,
+    domain_id31,
+    murmur3_64,
+    term_hash,
+)
 from marginalia_ray.functions.lsh import lsh_of_words
 from marginalia_ray.functions.urls import parse_url
 from marginalia_ray.model.codecs import (
@@ -45,10 +50,6 @@ DISQUALIFIED_STATES = ("LANGUAGE", "ROBOTS_NOINDEX", "LENGTH", "EMPTY", "IRRELEV
 # real crawled pages; this repo's synthetic fixtures are an order shorter,
 # so the default knob is corpus-scaled — override per stage for crawl data.
 MIN_DOCUMENT_WORDS = 40
-
-
-def _id31(s: str) -> int:
-    return murmur3_64(s.encode("utf-8")) & 0x7FFF_FFFF
 
 
 class TokenizerStage:
@@ -115,7 +116,7 @@ class TokenizerStage:
         self, url: str, html, text: str | None, lang: str, headers: str = ""
     ) -> dict:
         pu = parse_url(url)
-        doc_id = (_id31(pu.fqdn) << 32) | (murmur3_64(url.encode("utf-8")) & 0xFFFF_FFFF)
+        doc_id = (domain_id31(pu.fqdn) << 32) | (murmur3_64(url.encode("utf-8")) & 0xFFFF_FFFF)
 
         def disqualified(state: str) -> dict:
             return dict(

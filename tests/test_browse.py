@@ -1,11 +1,16 @@
-"""Browse/explore family: random domains, neighbors view, similar
-domains, explorer related-domains, url-id browse, dating session.
+"""Browse/explore family: random domains, similar domains, explorer
+related-domains, the old-algo cascade, site info, url-id browse, dating
+session.
 
 Reference semantics: DbBrowseDomainsRandom.java, DbBrowseDomainsSimilar
-Cosine.java, ExplorerService.java, DatingSessionObject.java (see
-ops/browse.py and query/dating.py docstrings for line cites).  The
-oracle parity for the four dataset ops is covered by tests/test_oracle.py
-via __ray_entry__; these tests pin the unit-level semantics."""
+Cosine.java, ExplorerService.java, DbBrowseDomainsSimilarOldAlgo.java,
+DomainInformationService.java, DatingSessionObject.java (see
+ops/browse.py, pipelines/browse_artifact.py and query/dating.py
+docstrings for line cites).  random_domains and browse_url_ids are
+dataset ops; the neighbor queries and site info are served by
+BrowseArtifact, built here from small hand-built tables.  The oracle
+parity of every browse row is covered by tests/test_oracle.py via
+__ray_entry__; these tests pin the unit-level semantics."""
 
 import numpy as np
 import pyarrow as pa
@@ -15,13 +20,14 @@ import ray
 
 from marginalia_ray.ops.browse import (
     browse_url_ids,
-    explorer_related,
-    neighbors_view,
     random_domains,
-    similar_domains,
     trim_url_junk,
 )
 from marginalia_ray.ops.dedup import _fmix64_vec
+from marginalia_ray.pipelines.browse_artifact import (
+    BrowseArtifact,
+    build_browse_artifact,
+)
 from marginalia_ray.query.dating import (
     BrowseResult,
     DatingSession,
@@ -29,18 +35,45 @@ from marginalia_ray.query.dating import (
 )
 
 
-def _domains(rows):
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "domain_id": pa.array([r[0] for r in rows], pa.int64()),
-                "domain_name": pa.array([r[1] for r in rows], pa.string()),
-                "state": pa.array([r[2] for r in rows], pa.int64()),
-                "indexed": pa.array([r[3] for r in rows], pa.int64()),
-                "domain_alias": pa.array([r[4] for r in rows], pa.int64()),
-            }
-        )
+def _domains_table(rows):
+    return pa.table(
+        {
+            "domain_id": pa.array([r[0] for r in rows], pa.int64()),
+            "domain_name": pa.array([r[1] for r in rows], pa.string()),
+            "state": pa.array([r[2] for r in rows], pa.int64()),
+            "indexed": pa.array([r[3] for r in rows], pa.int64()),
+            "domain_alias": pa.array([r[4] for r in rows], pa.int64()),
+        }
     )
+
+
+def _domains(rows):
+    return ray.data.from_arrow(_domains_table(rows))
+
+
+def _ids(ids):
+    return pa.table({"domain_id": pa.array(ids, pa.int64())})
+
+
+def _artifact(out_dir, neighbors, domains, *, links=None, meta=None, **tables):
+    """A BrowseArtifact built from pa tables.  ``links`` and ``meta``
+    default to one-row stubs (the similar-domains and explorer queries
+    read neither); ``tables`` passes screenshots, crawl_queue and
+    blacklist_names through."""
+    if links is None:
+        links = pa.table({"src": [1], "dst": [2]})
+    if meta is None:
+        meta = pa.table({"domain_id": [1], "known_urls": [1]})
+    build_browse_artifact(
+        str(out_dir),
+        neighbors=ray.data.from_arrow(neighbors),
+        links=ray.data.from_arrow(links),
+        domains=ray.data.from_arrow(domains),
+        meta=ray.data.from_arrow(meta),
+        n_buckets=8,
+        **{k: ray.data.from_arrow(t) for k, t in tables.items()},
+    )
+    return BrowseArtifact(str(out_dir))
 
 
 DOMS = [
@@ -89,48 +122,46 @@ class TestRandomDomains:
         assert len(got) == 2
 
 
-def _adj(ray_session):
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "domain_id": pa.array([1, 1, 1, 2, 5], pa.int64()),
-                "neighbor_id": pa.array([2, 5, 7, 1, 1], pa.int64()),
-                "relatedness": pa.array([0.505, 0.504999, 0.9, 0.505, 0.2], pa.float64()),
-            }
-        )
-    )
+# domain 1's neighbors: 2 (51 %), 5 (50 %), 7 (90 %)
+ADJ = pa.table(
+    {
+        "domain_id": pa.array([1, 1, 1, 2, 5], pa.int64()),
+        "neighbor_id": pa.array([2, 5, 7, 1, 1], pa.int64()),
+        "relatedness": pa.array([0.505, 0.504999, 0.9, 0.505, 0.2], pa.float64()),
+    }
+)
 
 
-def _view(ray_session):
-    return neighbors_view(_adj(ray_session), _domains(DOMS))
+@pytest.fixture(scope="module")
+def adj_art(ray_session, tmp_path_factory):
+    """ADJ over DOMS, with screenshots for domains 2, 5 and 7."""
+    out = tmp_path_factory.mktemp("browse") / "adj"
+    return _artifact(out, ADJ, _domains_table(DOMS), screenshots=_ids([2, 5, 7]))
 
 
 class TestNeighborsView:
-    def test_names_and_integer_percent(self, ray_session):
-        v = _view(ray_session).to_pandas().sort_values(
-            ["domain_id", "neighbor_id"]
-        )
-        row = v[(v.domain_id == 1) & (v.neighbor_id == 2)].iloc[0]
-        assert row["domain_name"] == "a.example"
-        assert row["neighbor_name"] == "b.example"
+    def test_names_and_integer_percent(self, adj_art):
+        # EC_NEIGHBORS_VIEW's names and ROUND(100 * cosine), as the two
+        # relatedness queries serve them
+        got = adj_art.similar_domains([1], count=5).to_pandas()
+        by = got.set_index("neighbor_id")
+        assert (got["domain_id"] == 1).all()
+        assert by.loc[2, "neighbor_name"] == "b.example"
         # ROUND(100 * 0.505) = 51 (half away from zero), 0.504999 -> 50
-        assert row["relatedness"] == 51
-        assert v[(v.domain_id == 1) & (v.neighbor_id == 5)].iloc[0][
-            "relatedness"
-        ] == 50
-        assert str(v["relatedness"].dtype) == "int64"
+        assert by.loc[2, "relatedness"] == 51
+        assert by.loc[5, "relatedness"] == 50
+        assert str(got["relatedness"].dtype) == "int64"
+        # the probe resolves by its own name, a.example
+        rel = adj_art.explorer_related("a.example").to_pandas().set_index("domain")
+        assert rel.loc["b.example", "relatedness"] == 51
+        assert rel.loc["e.example", "relatedness"] == 50
+        assert str(rel["relatedness"].dtype) == "int64"
 
 
 class TestSimilarDomains:
-    def test_screenshot_blacklist_topk(self, ray_session):
-        shots = ray.data.from_arrow(
-            pa.table({"domain_id": pa.array([2, 5, 7], pa.int64())})
-        )
+    def test_screenshot_blacklist_topk(self, adj_art):
         got = (
-            similar_domains(
-                _adj(ray_session), _domains(DOMS), probes=[1],
-                screenshots=shots, blacklist=(7,), count=1,
-            )
+            adj_art.similar_domains([1], blacklist=(7,), count=1)
             .to_pandas()
             .sort_values("neighbor_id")
         )
@@ -139,14 +170,9 @@ class TestSimilarDomains:
         assert got["neighbor_name"].tolist() == ["b.example"]
         assert got["relatedness"].tolist() == [51]
 
-    def test_screenshotless_neighbor_skipped(self, ray_session):
-        shots = ray.data.from_arrow(
-            pa.table({"domain_id": pa.array([5], pa.int64())})
-        )
-        got = similar_domains(
-            _adj(ray_session), _domains(DOMS), probes=[1],
-            screenshots=shots, count=5,
-        ).to_pandas()
+    def test_screenshotless_neighbor_skipped(self, ray_session, tmp_path):
+        art = _artifact(tmp_path / "art", ADJ, _domains_table(DOMS), screenshots=_ids([5]))
+        got = art.similar_domains([1], count=5).to_pandas()
         assert got["neighbor_id"].tolist() == [5]
 
 
@@ -158,9 +184,8 @@ class TestExplorer:
         assert trim_url_junk("x.com/") == "x.com"
         assert trim_url_junk("/rooted") == "/rooted"  # indexOf('/') == 0 kept
 
-    def test_forward_reverse_union(self, ray_session):
-        v = _adj(ray_session).materialize()
-        got = explorer_related(v, _domains(DOMS), "http://a.example/x").to_pandas()
+    def test_forward_reverse_union(self, adj_art):
+        got = adj_art.explorer_related("http://a.example/x").to_pandas()
         # forward: 2, 5, 7; reverse: 2 (dup name, skipped), 5 (dup, skipped)
         assert got["domain"].tolist() == ["g.example", "b.example", "e.example"]
         assert got["relatedness"].tolist() == [90, 51, 50]
@@ -175,25 +200,23 @@ class TestExplorer:
         # indexed > 0: e.example has indexed 0
         assert not bool(by.loc["e.example", "indexed"])
 
-    def test_alias_following_and_name_filter(self, ray_session):
+    def test_alias_following_and_name_filter(self, ray_session, tmp_path):
         # d.example aliases to 1, so probing it pulls 1's neighbors too;
         # nodotname (6) would be filtered had it appeared
-        adj = ray.data.from_arrow(
-            pa.table(
-                {
-                    "domain_id": pa.array([4, 1], pa.int64()),
-                    "neighbor_id": pa.array([6, 5], pa.int64()),
-                    "relatedness": pa.array([0.8, 0.3], pa.float64()),
-                }
-            )
-        ).materialize()
-        got = explorer_related(adj, _domains(DOMS), "d.example").to_pandas()
+        adj = pa.table(
+            {
+                "domain_id": pa.array([4, 1], pa.int64()),
+                "neighbor_id": pa.array([6, 5], pa.int64()),
+                "relatedness": pa.array([0.8, 0.3], pa.float64()),
+            }
+        )
+        art = _artifact(tmp_path / "art", adj, _domains_table(DOMS))
+        got = art.explorer_related("d.example").to_pandas()
         # probes {4, 1}: fwd neighbors 6 (no dot, dropped) and 5
         assert got["domain"].tolist() == ["e.example"]
 
-    def test_unknown_domain_empty(self, ray_session):
-        v = _adj(ray_session).materialize()
-        got = explorer_related(v, _domains(DOMS), "zzz.example").to_pandas()
+    def test_unknown_domain_empty(self, adj_art):
+        got = adj_art.explorer_related("zzz.example").to_pandas()
         assert len(got) == 0
         assert list(got.columns) == [
             "domain", "url", "relatedness", "has_more", "active", "indexed",
@@ -312,55 +335,50 @@ class TestOldAlgoCascade:
     """Hand-built fixture driving all three stages deterministically
     (DbBrowseDomainsSimilarOldAlgo.java:29-134 semantics)."""
 
-    def _run(self, ray_session, **kw):
-        from marginalia_ray.ops.browse import old_algo_neighbors
-
-        nb = ray.data.from_arrow(
-            pa.table(
-                {
-                    "domain_id": pa.array([1, 1, 1], pa.int64()),
-                    "neighbor_id": pa.array([2, 3, 4], pa.int64()),
-                    "adj_idx": pa.array([1, 2, 3], pa.int64()),
-                }
-            )
+    @pytest.fixture(scope="class")
+    def art(self, ray_session, tmp_path_factory):
+        nb = pa.table(
+            {
+                "domain_id": pa.array([1, 1, 1], pa.int64()),
+                "neighbor_id": pa.array([2, 3, 4], pa.int64()),
+                "adj_idx": pa.array([1, 2, 3], pa.int64()),
+            }
         )
-        links = ray.data.from_arrow(
-            pa.table(
-                {
-                    # probe 1 links to 5, 6; 7, 8 link to probe 1; 9 gives
-                    # every candidate except 4 one inbound link
-                    "src": pa.array([1, 1, 7, 8, 9, 9, 9, 9, 9, 9], pa.int64()),
-                    "dst": pa.array([5, 6, 1, 1, 2, 3, 5, 6, 7, 8], pa.int64()),
-                }
-            )
+        links = pa.table(
+            {
+                # probe 1 links to 5, 6; 7, 8 link to probe 1; 9 gives
+                # every candidate except 4 one inbound link
+                "src": pa.array([1, 1, 7, 8, 9, 9, 9, 9, 9, 9], pa.int64()),
+                "dst": pa.array([5, 6, 1, 1, 2, 3, 5, 6, 7, 8], pa.int64()),
+            }
         )
-        doms = _domains(
+        doms = _domains_table(
             [(i, f"d{i}.example", 0, 1, None) for i in range(1, 10)]
         )
-        meta = ray.data.from_arrow(
-            pa.table(
-                {
-                    "domain_id": pa.array([1, 2, 3, 4, 5, 6, 7, 8], pa.int64()),
-                    "known_urls": pa.array([1, 1, 1, 1, 1, 1, 1, 99], pa.int64()),
-                    # rank: 6 beats 5 so the blacklisted row consumes the slot
-                    "rank": pa.array([9, 9, 9, 9, 2, 1, 5, 9], pa.int64()),
-                }
-            )
+        meta = pa.table(
+            {
+                "domain_id": pa.array([1, 2, 3, 4, 5, 6, 7, 8], pa.int64()),
+                "known_urls": pa.array([1, 1, 1, 1, 1, 1, 1, 99], pa.int64()),
+                # rank: 6 beats 5 so the blacklisted row consumes the slot
+                "rank": pa.array([9, 9, 9, 9, 2, 1, 5, 9], pa.int64()),
+            }
         )
-        return old_algo_neighbors(
-            nb, links, doms, meta, probe_id=1, count=6, max_known=50, **kw
-        ).to_pandas()
+        out = tmp_path_factory.mktemp("browse") / "old_algo"
+        return _artifact(out, nb, doms, links=links, meta=meta)
 
-    def test_all_stages_and_slot_consumption(self, ray_session):
-        got = self._run(ray_session, blacklist=(6,))
+    def _run(self, art, **kw):
+        return art.old_algo_neighbors(1, count=6, max_known=50, **kw).to_pandas()
+
+    def test_all_stages_and_slot_consumption(self, art):
+        got = self._run(art, blacklist=(6,))
         # q1: 2, 3 eligible (4 has no inbound link) -> n=2 < 6//2=3.
         # q2 shortfall 1: rank order [6, 5]; 6 is read (consumes the one
         # slot) but blacklisted -> nothing added, 5 never reached.
         # q3 shortfall 1: candidates {7 (ok), 8 (known_urls over cap)} -> 7.
         assert sorted(got["domain_id"].tolist()) == [2, 3, 7]
 
-    def test_stage1_fills_no_fallback(self, ray_session):
-        got = self._run(ray_session, blacklist=())
+    def test_stage1_fills_no_fallback(self, art):
+        got = self._run(art, blacklist=())
         # without the blacklist q2's slot admits 6; set reaches 3 = half,
         # so q3 never fires
         assert sorted(got["domain_id"].tolist()) == [2, 3, 6]
@@ -464,50 +482,50 @@ class TestCommands:
 
 
 class TestSiteInfo:
-    def _fixture(self, ray_session):
-        from marginalia_ray.ops.browse import site_info
+    @pytest.fixture(scope="class")
+    def site_info(self, ray_session, tmp_path_factory):
+        doms = pa.table(
+            {
+                "domain_id": pa.array([1, 2, 3, 4], pa.int64()),
+                "domain_name": pa.array(
+                    ["a.example", "b.example", "c.example", "d.example"],
+                    pa.string(),
+                ),
+                "state": pa.array([0, 1, 2, 0], pa.int64()),
+                "rank_d": pa.array([0.5, 0.25, None, 0.0], pa.float64()),
+            }
+        )
+        meta = pa.table(
+            {
+                "domain_id": pa.array([1, 2], pa.int64()),
+                "known_urls": pa.array([10, 5], pa.int64()),
+                "visited_urls": pa.array([8, 0], pa.int64()),
+                "good_urls": pa.array([6, 0], pa.int64()),
+            }
+        )
+        links = pa.table(
+            {
+                "src": pa.array([2, 3, 4, 1, 1], pa.int64()),
+                "dst": pa.array([1, 1, 1, 2, 3], pa.int64()),
+            }
+        )
+        no_neighbors = pa.table(
+            {
+                "domain_id": pa.array([], pa.int64()),
+                "neighbor_id": pa.array([], pa.int64()),
+                "adj_idx": pa.array([], pa.int64()),
+            }
+        )
+        out = tmp_path_factory.mktemp("browse") / "site"
+        art = _artifact(
+            out, no_neighbors, doms, links=links, meta=meta,
+            crawl_queue=pa.table({"domain_name": pa.array(["b.example"], pa.string())}),
+            blacklist_names=pa.table({"domain_name": pa.array(["c.example"], pa.string())}),
+        )
+        return art.site_info
 
-        doms = ray.data.from_arrow(
-            pa.table(
-                {
-                    "domain_id": pa.array([1, 2, 3, 4], pa.int64()),
-                    "domain_name": pa.array(
-                        ["a.example", "b.example", "c.example", "d.example"],
-                        pa.string(),
-                    ),
-                    "state": pa.array([0, 1, 2, 0], pa.int64()),
-                    "rank_d": pa.array([0.5, 0.25, None, 0.0], pa.float64()),
-                }
-            )
-        )
-        meta = ray.data.from_arrow(
-            pa.table(
-                {
-                    "domain_id": pa.array([1, 2], pa.int64()),
-                    "known_urls": pa.array([10, 5], pa.int64()),
-                    "visited_urls": pa.array([8, 0], pa.int64()),
-                    "good_urls": pa.array([6, 0], pa.int64()),
-                }
-            )
-        )
-        links = ray.data.from_arrow(
-            pa.table(
-                {
-                    "src": pa.array([2, 3, 4, 1, 1], pa.int64()),
-                    "dst": pa.array([1, 1, 1, 2, 3], pa.int64()),
-                }
-            )
-        )
-        cq = ray.data.from_arrow(
-            pa.table({"domain_name": pa.array(["b.example"], pa.string())})
-        )
-        bl = ray.data.from_arrow(
-            pa.table({"domain_name": pa.array(["c.example"], pa.string())})
-        )
-        return lambda site: site_info(doms, meta, links, cq, bl, site)
-
-    def test_counts_rank_and_linking_order(self, ray_session):
-        got = self._fixture(ray_session)("a.example").to_pandas()
+    def test_counts_rank_and_linking_order(self, site_info):
+        got = site_info("a.example").to_pandas()
         r = got.iloc[0]
         assert r["pages_known"] == 10 and r["pages_fetched"] == 8
         assert r["incoming_links"] == 3 and r["outgoing_links"] == 2
@@ -518,19 +536,19 @@ class TestSiteInfo:
         assert not r["blacklisted"] and not r["in_crawl_queue"]
         assert not r["suggest_for_crawling"]  # visited > 0
 
-    def test_queue_and_suggest_gate(self, ray_session):
-        r = self._fixture(ray_session)("b.example").to_pandas().iloc[0]
+    def test_queue_and_suggest_gate(self, site_info):
+        r = site_info("b.example").to_pandas().iloc[0]
         # visited == 0 but in the crawl queue -> no suggestion
         assert bool(r["in_crawl_queue"]) and not r["suggest_for_crawling"]
 
-    def test_blacklist_null_rank_and_meta_defaults(self, ray_session):
-        r = self._fixture(ray_session)("c.example").to_pandas().iloc[0]
+    def test_blacklist_null_rank_and_meta_defaults(self, site_info):
+        r = site_info("c.example").to_pandas().iloc[0]
         assert bool(r["blacklisted"])
         # IFNULL(RANK, 1) -> ranking 0.0; no metadata row -> 0 defaults
         assert r["ranking"] == 0.0
         assert r["pages_known"] == 0 and r["pages_fetched"] == 0
         assert bool(r["suggest_for_crawling"])  # 0 visited, not queued
 
-    def test_unknown_domain(self, ray_session):
-        got = self._fixture(ray_session)("zzz.example").to_pandas()
+    def test_unknown_domain(self, site_info):
+        got = site_info("zzz.example").to_pandas()
         assert len(got) == 0

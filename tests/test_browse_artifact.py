@@ -1,7 +1,8 @@
-"""BrowseArtifact parity: the stored-artifact reader must return the same
-rows as the streaming ops in ops/browse.py on the same fixtures (the
-TestOldAlgoCascade / TestSiteInfo corpora from test_browse.py), while
-reading only the probe's hash buckets."""
+"""BrowseArtifact rows on small fixtures (the TestOldAlgoCascade /
+TestSiteInfo corpora from test_browse.py, plus a six-row adjacency), each
+pinned to literal expected rows, and the journal-built artifact.  The
+independent reference for the browse queries is the DuckDB SQL of the
+browse rows in tests/test_oracle.py."""
 
 import numpy as np
 import pyarrow as pa
@@ -119,38 +120,28 @@ def site_artifact(ray_session, tmp_path_factory):
 
 
 class TestOldAlgoParity:
-    def _both(self, ray_session, out_dir, **kw):
-        from marginalia_ray.ops.browse import old_algo_neighbors
+    def _art(self, out_dir, **kw):
         from marginalia_ray.pipelines.browse_artifact import BrowseArtifact
 
-        nb, links, doms, meta = _old_algo_inputs()
-        stream = old_algo_neighbors(
-            ray.data.from_arrow(nb),
-            ray.data.from_arrow(links),
-            ray.data.from_arrow(doms),
-            ray.data.from_arrow(meta),
-            probe_id=1,
-            count=6,
-            max_known=50,
-            **kw,
-        ).to_pandas()
-        art = (
+        return (
             BrowseArtifact(out_dir)
             .old_algo_neighbors(1, count=6, max_known=50, **kw)
-            .to_pandas()
+            .to_pylist()
         )
-        return stream, art
 
     def test_all_stages_parity(self, ray_session, old_algo_artifact):
-        stream, art = self._both(ray_session, old_algo_artifact, blacklist=(6,))
-        assert sorted(art["domain_id"]) == sorted(stream["domain_id"]) == [2, 3, 7]
-        assert dict(zip(art["domain_id"], art["domain_name"])) == dict(
-            zip(stream["domain_id"], stream["domain_name"])
-        )
+        assert self._art(old_algo_artifact, blacklist=(6,)) == [
+            {"domain_id": 2, "domain_name": "d2.example"},
+            {"domain_id": 3, "domain_name": "d3.example"},
+            {"domain_id": 7, "domain_name": "d7.example"},
+        ]
 
     def test_no_blacklist_parity(self, ray_session, old_algo_artifact):
-        stream, art = self._both(ray_session, old_algo_artifact)
-        assert sorted(art["domain_id"]) == sorted(stream["domain_id"])
+        assert self._art(old_algo_artifact) == [
+            {"domain_id": 2, "domain_name": "d2.example"},
+            {"domain_id": 3, "domain_name": "d3.example"},
+            {"domain_id": 6, "domain_name": "d6.example"},
+        ]
 
     def test_unknown_probe_empty(self, ray_session, old_algo_artifact):
         from marginalia_ray.pipelines.browse_artifact import BrowseArtifact
@@ -159,33 +150,54 @@ class TestOldAlgoParity:
         assert got.num_rows == 0
 
 
+SITE_INFO_SCHEMA = pa.schema(
+    [
+        ("domain", pa.string()),
+        ("blacklisted", pa.bool_()),
+        ("pages_known", pa.int64()),
+        ("pages_fetched", pa.int64()),
+        ("pages_indexed", pa.int64()),
+        ("incoming_links", pa.int64()),
+        ("outgoing_links", pa.int64()),
+        ("ranking", pa.float64()),
+        ("state", pa.int64()),
+        ("in_crawl_queue", pa.bool_()),
+        ("suggest_for_crawling", pa.bool_()),
+        ("linking_domains", pa.string()),
+    ]
+)
+
+# (domain, blacklisted, known, fetched, indexed, in, out, ranking, state,
+#  in_crawl_queue, suggest_for_crawling, linking_domains)
+SITE_INFO_ROWS = {
+    "a.example": ("a.example", False, 10, 8, 6, 3, 2, 50.0, 0, False, False,
+                  "b.example,c.example,d.example"),
+    "b.example": ("b.example", False, 5, 0, 0, 1, 1, 75.0, 1, True, False,
+                  "a.example"),
+    "c.example": ("c.example", True, 0, 0, 0, 1, 1, 0.0, 2, False, True,
+                  "a.example"),
+    "zzz.example": None,
+}
+
+
 class TestSiteInfoParity:
     @pytest.mark.parametrize(
         "site", ["a.example", "b.example", "c.example", "zzz.example"]
     )
     def test_parity(self, ray_session, site_artifact, site):
-        from marginalia_ray.ops.browse import site_info
         from marginalia_ray.pipelines.browse_artifact import BrowseArtifact
 
-        doms, meta, links, cq, bl = _site_inputs()
-        stream = site_info(
-            ray.data.from_arrow(doms),
-            ray.data.from_arrow(meta),
-            ray.data.from_arrow(links),
-            ray.data.from_arrow(cq),
-            ray.data.from_arrow(bl),
-            site,
-        ).to_pandas()
-        art = BrowseArtifact(site_artifact).site_info(site).to_pandas()
-        assert list(art.columns) == list(stream.columns)
-        assert art.equals(stream), f"{site}:\nstream={stream.T}\nart={art.T}"
+        art = BrowseArtifact(site_artifact).site_info(site)
+        assert art.schema == SITE_INFO_SCHEMA
+        row = SITE_INFO_ROWS[site]
+        expect = [] if row is None else [dict(zip(SITE_INFO_SCHEMA.names, row))]
+        assert art.to_pylist() == expect
 
 
 class TestSimilarDomainsParity:
     def test_parity(self, ray_session, tmp_path):
-        """Artifact-served similar_domains == streaming op on the same
-        fixture (neighbors with relatedness, screenshot set, blacklist)."""
-        from marginalia_ray.ops.browse import similar_domains
+        """Artifact-served similar_domains on a fixture with relatedness,
+        a screenshot set (no screenshot for 4) and a blacklist (3)."""
         from marginalia_ray.pipelines.browse_artifact import (
             BrowseArtifact,
             build_browse_artifact,
@@ -218,14 +230,6 @@ class TestSimilarDomainsParity:
                 "known_urls": pa.array([1] * 5, pa.int64()),
             }
         )
-        stream = similar_domains(
-            ray.data.from_arrow(adj),
-            ray.data.from_arrow(doms),
-            probes=(1, 2),
-            screenshots=ray.data.from_arrow(shots),
-            blacklist=(3,),
-            count=2,
-        ).to_pandas()
         out = tmp_path / "art"
         build_browse_artifact(
             str(out),
@@ -236,15 +240,16 @@ class TestSimilarDomainsParity:
             screenshots=ray.data.from_arrow(shots),
             n_buckets=4,
         )
-        art = (
-            BrowseArtifact(str(out))
-            .similar_domains((1, 2), count=2, blacklist=(3,))
-            .to_pandas()
+        art = BrowseArtifact(str(out)).similar_domains(
+            (1, 2), count=2, blacklist=(3,)
         )
         key = ["domain_id", "neighbor_id", "neighbor_name", "relatedness"]
-        assert sorted(map(tuple, art[key].values.tolist())) == sorted(
-            map(tuple, stream[key].values.tolist())
-        )
+        assert art.column_names == key
+        assert [tuple(r.values()) for r in art.to_pylist()] == [
+            (1, 5, "d5.example", 95),
+            (1, 2, "d2.example", 90),
+            (2, 1, "d1.example", 50),
+        ]
 
 
 class TestJournalBuild:
@@ -306,13 +311,13 @@ class TestJournalBuild:
         screenshots table and similar_domains raises a typed error for
         every probe, known or not."""
         from marginalia_ray.pipelines.browse_artifact import NoScreenshotData
-        from marginalia_ray.pipelines.domain_rank import _id31
+        from marginalia_ray.functions.hashing import domain_id31
 
         hosts, out, art = clique_artifact
         assert not (out / "screenshots").exists()
         for probe in (hosts[0], "unknown.example"):
             with pytest.raises(NoScreenshotData, match="no screenshots table"):
-                art.similar_domains([_id31(probe)], count=5)
+                art.similar_domains([domain_id31(probe)], count=5)
 
     def test_build_from_journal(self, ray_session, tmp_path):
         """job.py --browse path: a hand-built journal (url, links) yields a
@@ -322,7 +327,7 @@ class TestJournalBuild:
             BrowseArtifact,
             build_browse_from_journal,
         )
-        from marginalia_ray.pipelines.domain_rank import _id31
+        from marginalia_ray.functions.hashing import domain_id31
 
         # each page links to the next two hosts' front pages
         hosts = [f"h{i}.example" for i in range(6)]
@@ -339,7 +344,7 @@ class TestJournalBuild:
         assert r["incoming_links"] == 2 and r["outgoing_links"] == 2
         assert "h4.example" in r["linking_domains"] or "h5.example" in r["linking_domains"]
         # old_algo probe works end to end (may be empty, must not error)
-        nb = art.old_algo_neighbors(_id31("h0.example"), count=5)
+        nb = art.old_algo_neighbors(domain_id31("h0.example"), count=5)
         assert set(nb.column_names) == {"domain_id", "domain_name"}
 
 
@@ -396,8 +401,6 @@ class TestExplorerRelatedParity:
         "query", ["http://a.example/x", "d.example", "zzz.example"]
     )
     def test_parity(self, ray_session, tmp_path, query):
-        from marginalia_ray.ops.browse import explorer_related
-
         adj = pa.table(
             {
                 "domain_id": pa.array([1, 1, 1, 2, 5, 4], pa.int64()),
@@ -407,16 +410,19 @@ class TestExplorerRelatedParity:
                 ),
             }
         )
-        stream = explorer_related(
-            ray.data.from_arrow(adj).materialize(),
-            ray.data.from_arrow(self._doms()),
-            query,
-        ).to_pandas()
+        # d.example aliases to a.example, and its own neighbor (nodotname)
+        # fails the name filter, so both probes give the same rows
+        rows = [
+            ["g.example", "http://g.example/", 90, False, False, True],
+            ["b.example", "http://b.example/", 51, True, True, False],
+            ["e.example", "http://e.example/", 50, True, True, False],
+        ]
+        expect = {"http://a.example/x": rows, "d.example": rows, "zzz.example": []}
         art = self._build(adj, tmp_path).explorer_related(query).to_pandas()
-        assert list(art.columns) == list(stream.columns)
-        assert art.values.tolist() == stream.values.tolist(), (
-            f"{query}:\nstream=\n{stream}\nart=\n{art}"
-        )
+        assert list(art.columns) == [
+            "domain", "url", "relatedness", "has_more", "active", "indexed",
+        ]
+        assert art.values.tolist() == expect[query], f"{query}:\n{art}"
 
 
 def test_bench_cache_dir_tracks_inputs(tmp_path):

@@ -274,9 +274,10 @@ class TestOverwriteMerge:
                     [_filter_journal(expect, lambda u: u % 6 != c), recrawled]
                 )
                 fresh = root / f"fresh{c}"
-                build_index(ray.data.from_arrow(expect), fresh, n_shards=4, n_buckets=2)
+                m_fresh = build_index(ray.data.from_arrow(expect), fresh, n_shards=4, n_buckets=2)
                 _assert_same_index(out, fresh)
                 assert m["doc_count"] == expect.num_rows
+                assert m["n_postings"] == m_fresh["n_postings"]
                 assert len(list((out / "forward").glob("*.parquet"))) == n_parts
                 live = out
 

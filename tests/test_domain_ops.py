@@ -96,6 +96,34 @@ def test_pagerank_orders_by_inlinks(ray_session):
     assert all(1 <= v <= 255 for v in ranks.values())
 
 
+def test_doc_id_domain_half_is_the_rankings_key(ray_session):
+    """build_index looks a doc's rank up by codecs.domain_id_of(doc_id) in
+    the rankings dict, so the converter's doc ids and the link graph's
+    domain ids must agree for every host."""
+    import ray.data
+
+    from marginalia_ray.model.codecs import domain_id_of
+    from marginalia_ray.pipelines.domain_rank import domain_edges, pagerank
+    from marginalia_ray.stages.tokenizer import TokenizerStage
+
+    urls = ["https://a.example/p", "https://b.example/q", "https://www.c.example/"]
+    html = "<html><body><p>" + "plain words of text " * 30 + "</p></body></html>"
+    out = TokenizerStage()(
+        pa.table({"url": urls, "html": [html.encode()] * 3, "lang": ["en"] * 3})
+    )
+    doc_hosts = {
+        u: domain_id_of(int(d))
+        for u, d in zip(out["url"].to_pylist(), out["doc_id"].to_pylist())
+    }
+    # each host links to the next, so every host is a rankings key
+    journal = ray.data.from_arrow(
+        pa.table({"url": urls, "links": [[urls[(i + 1) % 3]] for i in range(3)]})
+    )
+    rankings = pagerank(domain_edges(journal))
+    assert set(doc_hosts.values()) == set(rankings)
+    assert len(rankings) == 3
+
+
 def test_domain_rank_feeds_doc_metadata(ray_session, tmp_path):
     """Rank-encoded doc ids: better-ranked domains sort first in postings."""
     from marginalia_ray.pipelines.index_pipeline import run_index_pipeline

@@ -598,6 +598,31 @@ class TestDisqualification:
         assert self._urls(built_small, "REQUIRE_FIELD_TITLE") == [5]
 
 
+class TestUrlDomainBit:
+    def test_title_line_position_reads_as_url_domain(self, ray_session, tmp_path):
+        """WordFlags.UrlDomain.bit (256) is bit 0 of the position mask, and
+        the prio predicate tests it on the raw word meta: a flagless term
+        on the title line (position bit 0) is in the prio list, the same
+        term on line 2 only (position bit 1) is not.  This pins the
+        reference's encode quirk (UrlDomain dropped by the 8-bit flag
+        field) that the golden rank table depends on."""
+        t = make_journal()
+        metas = [
+            [encode_word_meta(1 if i % 2 else 2, 0) for _ in row]
+            for i, row in enumerate(t["kw_metas"].to_pylist(), start=1)
+        ]
+        t = t.set_column(3, "kw_metas", pa.array(metas, type=pa.list_(pa.uint64())))
+        build_index(ray.data.from_arrow(t), tmp_path, n_shards=2, n_buckets=1)
+        s = IndexSearcher(tmp_path)
+
+        def docs(kind):
+            return {int(c) & 0xFFFFFFFF for c in s.postings(kind, term_hash("3"))[0]}
+
+        assert {3, 6, 9, 12} <= docs("full")
+        assert docs("prio") == {i for i in docs("full") if i % 2}
+        assert 3 in docs("prio") and 6 not in docs("prio")
+
+
 class TestTermCoherenceGolden:
     """Mirror of the reference's TermCoherenceFactorTest.java:17-42: the
     coherence factor over a (n_terms, n_docs) word-meta matrix must be

@@ -74,10 +74,10 @@ class TestPersonalizedBuild:
         return ray.data.from_items(rows)
 
     def test_seeded_set_prefers_seed_community(self, journal):
-        from marginalia_ray.pipelines.domain_rank import _id31
+        from marginalia_ray.functions.hashing import domain_id31
 
         s = build_ranking_search_set(journal, "RETRO", ["a0.x"], max_n=3)
-        ids = {_id31(d) for d in ("a0.x", "a1.x", "a2.x")}
+        ids = {domain_id31(d) for d in ("a0.x", "a1.x", "a2.x")}
         got = {int(x) for x in s._sorted}
         assert len(got & ids) >= 2  # seed community dominates the top 3
 
